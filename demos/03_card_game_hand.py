@@ -30,7 +30,11 @@ for criterion in ("social", "fair", "best1", "best2"):
     marker = "  <- improves on the arbitrary one" if improves else ""
     print(f"best {criterion:>6}: {result.value}{marker}")
 
+# Card trees repeat the same child sets over and over: every internal node
+# is combined (merges), but each distinct (controller, left set, right set)
+# merge is computed only once (distinct merges).
 social = best_nash(work, "social")
-print(f"\nsolve stats: {social.stats.merges} merges over a "
+print(f"\nsolve stats: {social.stats.merges} merges, "
+      f"{social.stats.distinct_merges} distinct merges computed, over a "
       f"{social.root_ups.grid.n1}x{social.root_ups.grid.n2} payoff grid, "
       f"{social.stats.total_ms:.0f} ms")

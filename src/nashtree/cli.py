@@ -11,7 +11,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiment import ExperimentConfig, report_to_json, run_experiment
+from .experiment import (
+    ExperimentConfig,
+    HandFailedError,
+    report_to_json,
+    run_experiment,
+)
 from .gametree import (
     GtreeParseError,
     check_strategy,
@@ -213,7 +218,7 @@ def main(argv=None) -> int:
     except (GtreeParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (AlgebraInconsistencyError, AssertionError) as exc:
+    except (AlgebraInconsistencyError, AssertionError, HandFailedError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

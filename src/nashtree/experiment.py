@@ -10,6 +10,7 @@ counts; only the timing fields vary between runs.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -151,24 +152,44 @@ def solve_hand(config: ExperimentConfig, seed: int) -> HandRecord:
     )
 
 
+class HandFailedError(RuntimeError):
+    """Solving one hand of a study raised; names the hand's seed."""
+
+    def __init__(self, seed: int, cause: BaseException):
+        super().__init__(f"hand seed {seed} failed: {type(cause).__name__}: {cause}")
+        self.seed = seed
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Solve hands for seeds base..base+N-1 and collect per-hand records.
 
-    With jobs > 1 the hands are solved in a process pool; records are
-    folded in seed order either way, so everything except timings is
-    byte-identical across job counts.
+    With jobs > 1 the hands are solved in a process pool of at most one
+    worker per CPU and per hand; records are folded in seed order either
+    way, so everything except timings is byte-identical across job counts.
+    A hand that raises stops the study with HandFailedError.
     """
+    # Bad settings are the caller's error, not a failure of any one hand.
+    OhohConfig(config.cards, config.miss_penalty)
     seeds = range(config.seed, config.seed + config.hands)
-    if config.jobs > 1 and config.hands > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            records = list(pool.map(_solve_hand_star, ((config, s) for s in seeds)))
+    workers = min(config.jobs, os.cpu_count() or 1, config.hands)
+    records = []
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(solve_hand, config, s) for s in seeds]
+            for seed, future in zip(seeds, futures):
+                try:
+                    records.append(future.result())
+                except Exception as exc:  # any worker failure ends the study
+                    for pending in futures:
+                        pending.cancel()
+                    raise HandFailedError(seed, exc) from exc
     else:
-        records = [solve_hand(config, s) for s in seeds]
+        for seed in seeds:
+            try:
+                records.append(solve_hand(config, seed))
+            except Exception as exc:  # any hand failure ends the study
+                raise HandFailedError(seed, exc) from exc
     return ExperimentReport(config=config, records=records)
-
-
-def _solve_hand_star(args: tuple[ExperimentConfig, int]) -> HandRecord:
-    return solve_hand(*args)
 
 
 # -- report JSON ----------------------------------------------------------------

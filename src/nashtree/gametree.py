@@ -470,7 +470,8 @@ def evaluate(tree: GameTree, strategy: Strategy) -> dict[int, PayoffVector]:
     """Exact expected payoff vector of every node's subtree under `strategy`.
 
     A leaf's value is its payoff; an internal node's value is the
-    probability-weighted sum of its children's values. Raises
+    probability-weighted sum of its children's values. A single entry with
+    probability one passes its child's value through unchanged. Raises
     MissingStrategyError if the strategy lacks an entry for some internal
     node, and ValueError if an entry names a non-child.
     """
@@ -483,6 +484,12 @@ def evaluate(tree: GameTree, strategy: Strategy) -> dict[int, PayoffVector]:
         entries = strategy.choices.get(nid)
         if entries is None:
             raise MissingStrategyError(f"strategy has no entry for internal node {nid}")
+        if len(entries) == 1 and entries[0][1] == 1:
+            child = entries[0][0]
+            if child not in node.children:
+                raise ValueError(f"strategy at node {nid} names non-child {child}")
+            values[nid] = values[child]
+            continue
         p1 = Fraction(0)
         p2 = Fraction(0)
         for child, prob in entries:

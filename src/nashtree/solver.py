@@ -39,7 +39,6 @@ from .ups import (
     merge,
     merge_deterministic,
     min_point,
-    min_value_for_player,
     singleton_ups,
 )
 
@@ -73,8 +72,11 @@ def criterion_value(criterion: str, v: PayoffVector) -> Fraction:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Work and time of one solve; the counters are those of its `SetMap`."""
+
     nodes: int
     merges: int = 0
+    distinct_merges: int = 0
     flag_ops: int = 0
     ups_ms: float = 0.0
     extract_ms: float = 0.0
@@ -91,11 +93,18 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SetMap:
-    """Per-node equilibrium payoff sets of a binary tree, on a shared grid."""
+    """Per-node equilibrium payoff sets of a binary tree, on a shared grid.
+
+    Equal sets are one shared object. `merges` counts internal nodes
+    combined (one per internal node), `distinct_merges` the merges actually
+    computed (one per distinct controller and pair of child sets), and
+    `flag_ops` the flag work those computed merges did.
+    """
 
     grid: PayoffGrid
     by_node: dict[int, Ups]
     merges: int
+    distinct_merges: int
     flag_ops: int
 
 
@@ -127,22 +136,51 @@ def any_nash(tree: GameTree) -> SolveResult:
 
 
 def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> SetMap:
+    """Fold `combine` up the tree, computing each distinct merge once.
+
+    Saturated flags are a canonical form, so sets are interned by their
+    four flag ints and equal sets share one `Ups` object; a merge is then
+    keyed by (controller, left object, right object). Keys hold ints and
+    object ids only: hashing the `Fraction` payoffs costs more than the
+    sharing saves on small trees.
+    """
     if not tree.is_binary():
         raise ValueError("equilibrium sets require a binary tree; binarize() first")
     grid = build_grid(tree)
-    merges0, ops0 = METER.merges, METER.flag_ops
+    ops0 = METER.flag_ops
+    nodes = tree.nodes
+    interned: dict[tuple[int, int, int, int], Ups] = {}
+    leaves: dict[int, Ups] = {}
+    merged: dict[tuple[int, int, int], Ups] = {}
     by_node: dict[int, Ups] = {}
+    merges = 0
+
+    def intern(ups: Ups) -> Ups:
+        return interned.setdefault((ups.p, ups.l1, ups.l2, ups.d), ups)
+
     for nid in tree.post_order():
-        node = tree.nodes[nid]
+        node = nodes[nid]
         if isinstance(node, Leaf):
-            by_node[nid] = singleton_ups(grid, node.payoff)
-        else:
-            left, right = node.children
-            by_node[nid] = combine(by_node[left], by_node[right], node.controller)
+            # Generated trees share payoff objects between leaves; the tree
+            # keeps them alive, so their ids are stable for this call.
+            ups = leaves.get(id(node.payoff))
+            if ups is None:
+                ups = leaves[id(node.payoff)] = intern(singleton_ups(grid, node.payoff))
+            by_node[nid] = ups
+            continue
+        merges += 1
+        left, right = node.children
+        a, b = by_node[left], by_node[right]
+        key = (node.controller, id(a), id(b))
+        ups = merged.get(key)
+        if ups is None:
+            ups = merged[key] = intern(combine(a, b, node.controller))
+        by_node[nid] = ups
     return SetMap(
         grid=grid,
         by_node=by_node,
-        merges=METER.merges - merges0,
+        merges=merges,
+        distinct_merges=len(merged),
         flag_ops=METER.flag_ops - ops0,
     )
 
@@ -225,6 +263,11 @@ def _point_on_axis(x: int, v: Fraction, other: Fraction) -> PayoffVector:
     return PayoffVector(v, other) if x == 1 else PayoffVector(other, v)
 
 
+# Extraction decisions that commit to one child; a mixing decision is the
+# pair of child probabilities instead.
+_LEFT, _RIGHT = "left", "right"
+
+
 def extract_strategy(
     tree: GameTree, set_map: SetMap, node: int, target: PayoffVector
 ) -> Strategy:
@@ -237,63 +280,98 @@ def extract_strategy(
     unchosen subtree is sent to its own worst payoff for the controller
     (the punishment that makes the chosen branch locally optimal); mixing
     recurses into both children with the two endpoint payoffs.
+
+    The decision at a node depends only on (controller, left set, right
+    set, target), so it is made once per distinct tuple and reused; every
+    internal node still gets its own `choices` entry.
     """
-    if not contains(set_map.by_node[node], target):
+    by_node = set_map.by_node
+    if not contains(by_node[node], target):
         raise TargetNotInUpsError(f"target {target} is not attainable at node {node}")
-    grid = set_map.grid
+    nodes = tree.nodes
+    # The caches are keyed by object ids, never by Fraction values. Sets are
+    # interned by the solve, a punishment point is one object per set, and a
+    # reused step hands out its stored child targets, so repeated work meets
+    # repeated ids. Each step keeps its own target alive and the tree keeps
+    # the leaf payoffs alive, so no id is recycled during the walk.
+    floors: dict[tuple[int, int], PayoffVector] = {}
+    steps: dict[tuple[int, int, int, int], tuple] = {}
+    leaves_paid: set[tuple[int, int]] = set()
+
+    def floor(u: Ups, x: int) -> PayoffVector:
+        key = (id(u), x)
+        point = floors.get(key)
+        if point is None:
+            point = floors[key] = min_point(u, x)
+        return point
+
     choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
     stack: list[tuple[int, PayoffVector]] = [(node, target)]
     while stack:
         nid, want = stack.pop()
-        tnode = tree.nodes[nid]
+        tnode = nodes[nid]
         if isinstance(tnode, Leaf):
-            if tnode.payoff != want:
-                raise AlgebraInconsistencyError(
-                    f"leaf {nid} pays {tnode.payoff}, extraction wanted {want}"
-                )
+            paid = (id(tnode.payoff), id(want))
+            if paid not in leaves_paid:
+                if tnode.payoff != want:
+                    raise AlgebraInconsistencyError(
+                        f"leaf {nid} pays {tnode.payoff}, extraction wanted {want}"
+                    )
+                leaves_paid.add(paid)
             continue
         x = tnode.controller
         left, right = tnode.children
-        ul, ur = set_map.by_node[left], set_map.by_node[right]
-        want_x = want.component(x)
-        if contains(ul, want) and want_x >= min_value_for_player(ur, x):
+        ul, ur = by_node[left], by_node[right]
+        key = (x, id(ul), id(ur), id(want))
+        step = steps.get(key)
+        if step is None:
+            step = steps[key] = (want, *_extraction_step(
+                set_map.grid, floor, x, ul, ur, want, nid, nid == node
+            ))
+        _, probs, want_left, want_right = step
+        if probs is _LEFT:
             choices[nid] = ((left, ONE),)
-            stack.append((left, want))
-            stack.append((right, min_point(ur, x)))
-            continue
-        if contains(ur, want) and want_x >= min_value_for_player(ul, x):
+        elif probs is _RIGHT:
             choices[nid] = ((right, ONE),)
-            stack.append((right, want))
-            stack.append((left, min_point(ul, x)))
-            continue
-        # Mixed case: both children must offer the controller exactly
-        # want_x, with the other player's payoffs bracketing the target.
-        w = want.component(3 - x)
-        axis = grid.u2 if x == 1 else grid.u1
-        lp, ls = cross_section(ul, x, want_x)
-        rp, rs = cross_section(ur, x, want_x)
-        ys = _nearest_geq(lp, ls, axis, w)
-        yt = _nearest_leq(rp, rs, axis, w)
-        if ys is None or yt is None:
-            ys = _nearest_leq(lp, ls, axis, w)
-            yt = _nearest_geq(rp, rs, axis, w)
-        if ys is None or yt is None:
-            if nid == node:
-                raise TargetNotInUpsError(
-                    f"target {target} is not attainable at node {node}"
-                )
-            raise AlgebraInconsistencyError(
-                f"no extraction case applies at node {nid} for {want}"
-            )
-        if ys == yt:
-            raise AlgebraInconsistencyError(
-                f"degenerate mixing pair at node {nid} for {want}"
-            )
-        lam = (w - yt) / (ys - yt)
-        choices[nid] = ((left, lam), (right, 1 - lam))
-        stack.append((left, _point_on_axis(x, want_x, ys)))
-        stack.append((right, _point_on_axis(x, want_x, yt)))
+        else:
+            choices[nid] = ((left, probs[0]), (right, probs[1]))
+        stack.append((left, want_left))
+        stack.append((right, want_right))
     return Strategy(choices)
+
+
+def _extraction_step(grid, floor, x, ul, ur, want, nid, at_start):
+    """One extraction decision at node `nid`: (_LEFT, _RIGHT or the mixing
+    probabilities, left child target, right child target). `floor(u, x)` is
+    the set's minimal point for player x, the punishment target."""
+    want_x = want.component(x)
+    if contains(ul, want) and want_x >= floor(ur, x).component(x):
+        return _LEFT, want, floor(ur, x)
+    if contains(ur, want) and want_x >= floor(ul, x).component(x):
+        return _RIGHT, floor(ul, x), want
+    # Mixed case: both children must offer the controller exactly
+    # want_x, with the other player's payoffs bracketing the target.
+    w = want.component(3 - x)
+    axis = grid.u2 if x == 1 else grid.u1
+    lp, ls = cross_section(ul, x, want_x)
+    rp, rs = cross_section(ur, x, want_x)
+    ys = _nearest_geq(lp, ls, axis, w)
+    yt = _nearest_leq(rp, rs, axis, w)
+    if ys is None or yt is None:
+        ys = _nearest_leq(lp, ls, axis, w)
+        yt = _nearest_geq(rp, rs, axis, w)
+    if ys is None or yt is None:
+        if at_start:
+            raise TargetNotInUpsError(f"target {want} is not attainable at node {nid}")
+        raise AlgebraInconsistencyError(
+            f"no extraction case applies at node {nid} for {want}"
+        )
+    if ys == yt:
+        raise AlgebraInconsistencyError(
+            f"degenerate mixing pair at node {nid} for {want}"
+        )
+    lam = (w - yt) / (ys - yt)
+    return (lam, 1 - lam), _point_on_axis(x, want_x, ys), _point_on_axis(x, want_x, yt)
 
 
 def _fold_strategy(original: GameTree, solved: GameTree, strategy: Strategy) -> Strategy:
@@ -343,6 +421,7 @@ def _solve(tree: GameTree, criterion: str, deterministic: bool) -> SolveResult:
         stats=SolveStats(
             nodes=len(work.nodes),
             merges=set_map.merges,
+            distinct_merges=set_map.distinct_merges,
             flag_ops=set_map.flag_ops,
             ups_ms=(t1 - t0) * 1000.0,
             extract_ms=(t2 - t1) * 1000.0,

@@ -30,9 +30,13 @@ indifference merges below are single masked passes.
 
 Instrumentation
 ---------------
-`METER` tallies merges and elementary flag operations so callers can
-check that one solve does one merge per internal node and that each merge
-touches O(n1 * n2) flags.
+`METER` tallies the merges and elementary flag operations these
+operators actually perform, so callers can check that each merge touches
+O(n1 * n2) flags. A solve counts its own merges: `SetMap.merges` is one
+per internal node combined, while `SetMap.distinct_merges` counts only
+the merges computed, one per distinct (controller, left set, right set),
+because equal sets are shared and a repeated merge is looked up.
+`SetMap.flag_ops` is the flag work of the computed merges only.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import json
 
+from nashtree import experiment
 from nashtree.cli import main
 from nashtree.gametree import parse_game_tree
 from nashtree.ohoh import parse_deal
@@ -114,6 +115,18 @@ class TestExperimentCommand:
         doc = json.loads(report.read_text())
         assert doc["hands"] == 6
         assert len(doc["per_hand"]) == 6
+
+    def test_hand_failure_exits_3_naming_the_seed(self, tmp_path, capsys, monkeypatch):
+        def solve(config, seed):
+            raise ValueError(f"cannot solve {seed}")
+
+        monkeypatch.setattr(experiment, "solve_hand", solve)
+        rc = main(
+            ["experiment", "--cards", "2", "--hands", "3", "--seed", "7",
+             "--report", str(tmp_path / "report.json")]
+        )
+        assert rc == 3
+        assert "hand seed 7 failed" in capsys.readouterr().err
 
 
 class TestEndToEnd:

@@ -1,8 +1,13 @@
 import json
+from concurrent.futures import Future
 from fractions import Fraction
 
+import pytest
+
+from nashtree import experiment
 from nashtree.experiment import (
     ExperimentConfig,
+    HandFailedError,
     report_to_json,
     run_experiment,
     solve_hand,
@@ -83,6 +88,75 @@ class TestRunExperiment:
             "extract",
             "total",
         }
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs each task
+    in this process when submitted, and starts no worker."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # delivered through the future, as a pool does
+            future.set_exception(exc)
+        return future
+
+
+class TestJobs:
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", _InlinePool)
+        _InlinePool.sizes = []
+        return _InlinePool
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, hands, size",
+        [
+            (10**9, 4, 3, 3),  # never more workers than hands
+            (10**9, 4, 8, 4),  # never more workers than CPUs
+            (3, 4, 8, 3),
+            (10**9, None, 8, None),  # unknown CPU count: one worker, no pool
+            (1, 4, 8, None),
+        ],
+    )
+    def test_pool_size_is_clamped(self, pool, monkeypatch, jobs, cpus, hands, size):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: cpus)
+        config = ExperimentConfig(cards=1, hands=hands, seed=2, jobs=jobs)
+        report = run_experiment(config)
+        assert pool.sizes == ([] if size is None else [size])
+        assert [r.seed for r in report.records] == list(range(2, 2 + hands))
+        assert json.loads(report_to_json(report))["config"]["jobs"] == jobs
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_hand_failure_names_its_seed(self, pool, monkeypatch, jobs):
+        monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+
+        def solve(config, seed):
+            if seed == 5:
+                raise ValueError("boom")
+            return solve_hand(config, seed)
+
+        monkeypatch.setattr(experiment, "solve_hand", solve)
+        config = ExperimentConfig(cards=1, hands=4, seed=3, jobs=jobs)
+        with pytest.raises(HandFailedError, match="hand seed 5 failed: ValueError: boom") as info:
+            run_experiment(config)
+        assert info.value.seed == 5
+
+    def test_bad_config_is_rejected_before_any_hand(self):
+        with pytest.raises(ValueError, match="cards per player"):
+            run_experiment(ExperimentConfig(cards=9, hands=0))
 
 
 class TestReportJson:
