@@ -46,7 +46,6 @@ from .ups import (
     saturate,
     serialize_ups,
     singleton_ups,
-    transpose,
     union,
     ups_from_flags,
 )

@@ -20,7 +20,6 @@ from .experiment import (
 from .gametree import (
     GtreeParseError,
     check_strategy,
-    evaluate,
     is_equilibrium,
     parse_game_tree,
     parse_strategy,
@@ -147,11 +146,10 @@ def _cmd_verify(args) -> int:
             print(f"input error: {problem}", file=sys.stderr)
         return 2
     check = is_equilibrium(tree, strategy)
-    value = evaluate(tree, strategy)[tree.root]
     if check.ok:
-        print(f"equilibrium: yes, value {value}")
+        print(f"equilibrium: yes, value {check.value}")
     else:
-        print(f"equilibrium: no, witness {check.witness}, value {value}")
+        print(f"equilibrium: no, witness {check.witness}, value {check.value}")
     return 0
 
 

@@ -247,10 +247,17 @@ def _tokenize(text: str) -> list[list[tuple[str, int, int]]]:
     return lines
 
 
+_DIGITS_RE = re.compile(r"[0-9]+")
+
+
 def _parse_positive_int(token: str, lineno: int, col: int, what: str) -> int:
-    if not token.isdigit() or int(token) <= 0:
+    try:
+        value = int(token) if _DIGITS_RE.fullmatch(token) else 0
+    except ValueError as exc:  # more digits than int() converts
+        raise GtreeParseError(f"{what}: {exc}", lineno, col) from None
+    if value <= 0:
         raise GtreeParseError(f"{what} must be a positive integer, got {token!r}", lineno, col)
-    return int(token)
+    return value
 
 
 def parse_game_tree(text: str) -> GameTree:
@@ -507,6 +514,7 @@ def evaluate(tree: GameTree, strategy: Strategy) -> dict[int, PayoffVector]:
 class EquilibriumCheck(NamedTuple):
     ok: bool
     witness: int | None  # deepest violating node in post-order, if any
+    value: PayoffVector  # the strategy's value at the root
 
 
 def is_equilibrium(tree: GameTree, strategy: Strategy) -> EquilibriumCheck:
@@ -515,9 +523,11 @@ def is_equilibrium(tree: GameTree, strategy: Strategy) -> EquilibriumCheck:
     The controller of node i must not be able to improve her own component
     of the node's value by deviating to any single child, i.e.
     value(i) >= value(j) for every child j, in the controller's component.
-    Returns the deepest violating node (post-order) as witness on failure.
+    Returns the deepest violating node (post-order) as witness on failure,
+    and the root value either way.
     """
     values = evaluate(tree, strategy)
+    value = values[tree.root]
     for nid in tree.post_order():
         node = tree.nodes[nid]
         if isinstance(node, Leaf):
@@ -525,5 +535,5 @@ def is_equilibrium(tree: GameTree, strategy: Strategy) -> EquilibriumCheck:
         own = values[nid].component(node.controller)
         for child in node.children:
             if values[child].component(node.controller) > own:
-                return EquilibriumCheck(False, nid)
-    return EquilibriumCheck(True, None)
+                return EquilibriumCheck(False, nid, value)
+    return EquilibriumCheck(True, None, value)

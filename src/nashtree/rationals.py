@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
 def parse_rational(token: str) -> Fraction:

@@ -24,7 +24,6 @@ from .gametree import (
     binarize,
 )
 from .ups import (
-    METER,
     PayoffGrid,
     Ups,
     _BETWEEN,
@@ -147,7 +146,6 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
     if not tree.is_binary():
         raise ValueError("equilibrium sets require a binary tree; binarize() first")
     grid = build_grid(tree)
-    ops0 = METER.flag_ops
     nodes = tree.nodes
     interned: dict[tuple[int, int, int, int], Ups] = {}
     leaves: dict[int, Ups] = {}
@@ -181,7 +179,7 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
         by_node=by_node,
         merges=merges,
         distinct_merges=len(merged),
-        flag_ops=METER.flag_ops - ops0,
+        flag_ops=grid.work.flag_ops,
     )
 
 

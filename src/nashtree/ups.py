@@ -28,24 +28,43 @@ saturation the flag grids are a canonical form (two values describe the
 same point set iff their flags are equal) and the truncation and
 indifference merges below are single masked passes.
 
+Lanes
+-----
+A player-x lane is the set of grid positions that share a player-x
+coordinate: a row for x = 1 (neighbours one bit apart) and a column for
+x = 2 (neighbours n2 bits apart). The per-player operators find the
+occupied lanes of a flag grid, and the span from the lowest to the
+highest flag inside each lane, with O(log n) masked shift-ORs (segmented
+prefix-OR smears, after Warren, *Hacker's Delight*, ch. 2). Both players
+run the same code; only the per-grid masks in `PayoffGrid.lanes` differ.
+
 Instrumentation
 ---------------
-`METER` tallies the merges and elementary flag operations these
-operators actually perform, so callers can check that each merge touches
-O(n1 * n2) flags. A solve counts its own merges: `SetMap.merges` is one
-per internal node combined, while `SetMap.distinct_merges` counts only
-the merges computed, one per distinct (controller, left set, right set),
-because equal sets are shared and a repeated merge is looked up.
-`SetMap.flag_ops` is the flag work of the computed merges only.
+Every grid carries its own `WorkMeter` (`PayoffGrid.work`). The
+operators that build sets (`union`, `saturate`, `merge_random`,
+`merge_ldet`, and `merge`/`merge_deterministic` through them) add their
+work to the meter of their operands' grid: `merges` counts calls of
+`merge` and `merge_deterministic`, and `flag_ops` counts flag operations,
+one per big-int shift, AND, OR, negation or multiply, so callers can
+check that each merge does O(n1 * n2) flag work. Queries (`contains`,
+`min_point`, `cross_section`, flag enumeration) count nothing.
+
+The solver builds one grid per fold, so these counts belong to that one
+solve, also when solves run in parallel threads. `SetMap.flag_ops` is
+the grid's count after the fold: the flag work of the merges actually
+computed. `SetMap.merges` is one per internal node combined, while
+`SetMap.distinct_merges` counts only the merges computed, one per
+distinct (controller, left set, right set), because equal sets are shared
+and a repeated merge is looked up.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .gametree import GameTree, Leaf, PayoffVector
 from .rationals import format_rational
@@ -61,31 +80,36 @@ class EmptySetError(ValueError):
 
 @dataclass
 class WorkMeter:
+    """Work done by the set operators on one grid (see module docs)."""
+
     merges: int = 0
     flag_ops: int = 0
 
 
-METER = WorkMeter()
+class _Lanes(NamedTuple):
+    """Bit layout of one player's lanes on a grid (see module docs)."""
+
+    step: int  # bit distance between neighbours in a lane
+    first: int  # the first bit of every lane, its marker
+    spread: int  # marker * spread is the marker's whole lane
+    along: int  # every bit whose next neighbour lies in the same lane
+    # (shift, down mask, up mask) per doubling step t = 1, 2, 4, ...: the
+    # masks keep the shifted bits that stay inside their own lane.
+    smears: tuple[tuple[int, int, int], ...]
 
 
-def reset_meter() -> None:
-    METER.merges = 0
-    METER.flag_ops = 0
+def _lane_layout(first: int, spread: int, step: int, length: int) -> _Lanes:
+    def below(k: int) -> int:
+        """Every lane's bits at in-lane index < k."""
+        return first * (spread & ((1 << (k * step)) - 1))
 
-
-# Byte -> spread bits at a given stride, for fast bit-matrix transposes.
-_SPREAD: dict[int, list[int]] = {}
-
-
-def _spread_table(stride: int) -> list[int]:
-    table = _SPREAD.get(stride)
-    if table is None:
-        table = [
-            sum(1 << (k * stride) for k in range(8) if byte >> k & 1)
-            for byte in range(256)
-        ]
-        _SPREAD[stride] = table
-    return table
+    smears = []
+    t = 1
+    while t < length:
+        down = below(length - t)
+        smears.append((t * step, down, down << (t * step)))
+        t *= 2
+    return _Lanes(step, first, spread, below(length - 1), tuple(smears))
 
 
 @dataclass(frozen=True)
@@ -94,6 +118,7 @@ class PayoffGrid:
 
     u1: tuple[Fraction, ...]
     u2: tuple[Fraction, ...]
+    work: WorkMeter = field(default_factory=WorkMeter, compare=False, repr=False)
 
     def __post_init__(self):
         for axis in (self.u1, self.u2):
@@ -115,27 +140,25 @@ class PayoffGrid:
         return (1 << self.n2) - 1
 
     @cached_property
+    def rep(self) -> int:
+        """Bit 0 of every row: ``row * rep`` copies a row pattern to every row."""
+        return sum(1 << (i * self.n2) for i in range(self.n1))
+
+    @cached_property
+    def lanes(self) -> dict[int, _Lanes]:
+        """Player index -> layout of that player's lanes (rows or columns)."""
+        return {
+            1: _lane_layout(self.rep, self.row_mask, 1, self.n2),
+            2: _lane_layout(self.row_mask, self.rep, self.n2, self.n1),
+        }
+
+    @cached_property
     def index1(self) -> dict[Fraction, int]:
         return {v: i for i, v in enumerate(self.u1)}
 
     @cached_property
     def index2(self) -> dict[Fraction, int]:
         return {v: j for j, v in enumerate(self.u2)}
-
-    @cached_property
-    def colmask_ge(self) -> tuple[int, ...]:
-        """colmask_ge[m]: bits of every row with column index >= m."""
-        masks = []
-        for m in range(self.n2 + 1):
-            row = self.row_mask & ~((1 << m) - 1)
-            masks.append(sum(row << (i * self.n2) for i in range(self.n1)))
-        return tuple(masks)
-
-    @cached_property
-    def transposed(self) -> "PayoffGrid":
-        other = PayoffGrid(self.u2, self.u1)
-        other.__dict__["transposed"] = self
-        return other
 
 
 @dataclass(frozen=True)
@@ -155,15 +178,20 @@ def _same_grid(a: Ups, b: Ups) -> None:
 
 
 def build_grid(tree: GameTree) -> PayoffGrid:
-    """Sorted, deduplicated per-player leaf payoff lists of a tree."""
-    xs = set()
-    ys = set()
-    for node in tree.nodes.values():
-        if isinstance(node, Leaf):
-            xs.add(node.payoff.p1)
-            ys.add(node.payoff.p2)
-    if not xs:
+    """Sorted, deduplicated per-player leaf payoff lists of a tree.
+
+    Generated trees share payoff objects between leaves, so each distinct
+    object is read once before any `Fraction` is hashed.
+    """
+    payoffs = {
+        id(node.payoff): node.payoff
+        for node in tree.nodes.values()
+        if isinstance(node, Leaf)
+    }
+    if not payoffs:
         raise ValueError("tree has no leaves")
+    xs = {v.p1 for v in payoffs.values()}
+    ys = {v.p2 for v in payoffs.values()}
     return PayoffGrid(tuple(sorted(xs)), tuple(sorted(ys)))
 
 
@@ -186,7 +214,7 @@ def is_empty(a: Ups) -> bool:
 def union(a: Ups, b: Ups) -> Ups:
     """Flag-wise union; preserves saturation."""
     _same_grid(a, b)
-    METER.flag_ops += 4
+    a.grid.work.flag_ops += 4
     return Ups(a.grid, a.p | b.p, a.l1 | b.l1, a.l2 | b.l2, a.d | b.d)
 
 
@@ -202,7 +230,7 @@ def _saturate_bits(n2: int, p: int, l1: int, l2: int, d: int) -> tuple[int, int,
 
 def saturate(a: Ups) -> Ups:
     """Downward closure: flag every basis element contained in a flagged one."""
-    METER.flag_ops += 10
+    a.grid.work.flag_ops += 10
     return Ups(a.grid, *_saturate_bits(a.grid.n2, a.p, a.l1, a.l2, a.d))
 
 
@@ -239,6 +267,40 @@ def contains(a: Ups, point: PayoffVector) -> bool:
     return bool(source >> bit & 1)
 
 
+def _player_lanes(grid: PayoffGrid, x: int) -> _Lanes:
+    lanes = grid.lanes.get(x)
+    if lanes is None:
+        raise ValueError(f"player index must be 1 or 2, got {x}")
+    return lanes
+
+
+def _lowest_lane(lanes: _Lanes, bits: int) -> int:
+    """Marker of the lowest lane holding a flag of `bits` (nonzero).
+
+    Costs 3 * len(lanes.smears) + 3 flag ops.
+    """
+    for shift, down, _ in lanes.smears:
+        bits |= (bits >> shift) & down
+    occupied = bits & lanes.first
+    return occupied & -occupied
+
+
+def _spans(lanes: _Lanes, work: WorkMeter, a: int, b: int) -> int:
+    """In every lane holding flags of both `a` and `b`, all bits from the
+    lowest to the highest flag of either; nothing in the other lanes."""
+    if not (a and b):
+        return 0
+    # low_*: flag at or above in the lane; high: flag at or below.
+    low_a, low_b, high = a, b, a | b
+    for shift, down, up in lanes.smears:
+        low_a |= (low_a >> shift) & down
+        low_b |= (low_b >> shift) & down
+        high |= (high << shift) & up
+    both = low_a & low_b & lanes.first
+    work.flag_ops += 9 * len(lanes.smears) + 7
+    return (low_a | low_b) & high & both * lanes.spread
+
+
 def min_point(a: Ups, x: int) -> PayoffVector:
     """The flagged grid point with minimal player-x coordinate.
 
@@ -249,19 +311,9 @@ def min_point(a: Ups, x: int) -> PayoffVector:
     grid = a.grid
     if a.p == 0:
         raise EmptySetError("minimum of an empty set")
-    n2 = grid.n2
-    if x == 1:
-        low = (a.p & -a.p).bit_length() - 1
-        return PayoffVector(grid.u1[low // n2], grid.u2[low % n2])
-    if x != 2:
-        raise ValueError(f"player index must be 1 or 2, got {x}")
-    occupied = 0
-    for i in range(grid.n1):
-        occupied |= a.p >> (i * n2)
-    occupied &= grid.row_mask
-    METER.flag_ops += grid.n1
-    j = (occupied & -occupied).bit_length() - 1
-    i = next(i for i in range(grid.n1) if a.p >> (i * n2 + j) & 1)
+    lanes = _player_lanes(grid, x)
+    lane = a.p & _lowest_lane(lanes, a.p) * lanes.spread
+    i, j = divmod((lane & -lane).bit_length() - 1, grid.n2)
     return PayoffVector(grid.u1[i], grid.u2[j])
 
 
@@ -274,121 +326,47 @@ def merge_ldet(a: Ups, b: Ups, x: int) -> Ups:
     """Points of `a` whose player-x coordinate is at least min over `b`.
 
     Implemented as a single masked copy: with saturated inputs, dropping
-    every flag whose low row (x = 1) or low column (x = 2) index falls
-    below the minimum occupied index of `b` leaves exactly the truncated
-    set, already saturated.
+    every flag that sits in a player-x lane below the lowest lane
+    occupied by `b` leaves exactly the truncated set, already saturated.
     """
     _same_grid(a, b)
     grid = a.grid
     if b.p == 0:
         raise EmptySetError("merge_ldet needs a nonempty second operand")
-    METER.flag_ops += 8
-    if x == 1:
-        m = ((b.p & -b.p).bit_length() - 1) // grid.n2
-        keep = ~((1 << (m * grid.n2)) - 1)
-    elif x == 2:
-        occupied = 0
-        for i in range(grid.n1):
-            occupied |= b.p >> (i * grid.n2)
-        METER.flag_ops += grid.n1
-        occupied &= grid.row_mask
-        m = (occupied & -occupied).bit_length() - 1
-        keep = grid.colmask_ge[m]
-    else:
-        raise ValueError(f"player index must be 1 or 2, got {x}")
+    lanes = _player_lanes(grid, x)
+    # The markers at or above the lowest one, each spread over its lane.
+    keep = (lanes.first & -_lowest_lane(lanes, b.p)) * lanes.spread
+    grid.work.flag_ops += 3 * len(lanes.smears) + 10
     return Ups(grid, a.p & keep, a.l1 & keep, a.l2 & keep, a.d & keep)
-
-
-def transpose(a: Ups) -> Ups:
-    """The same point set with the two players' axes swapped."""
-    grid = a.grid
-    n1, n2 = grid.n1, grid.n2
-    tp = _transpose_bits(a.p, n1, n2, n1)
-    tl1 = _transpose_bits(a.l2, n1, n2, n1)
-    tl2 = _transpose_bits(a.l1, n1, n2, n1)
-    td = _transpose_bits(a.d, n1, n2, n1)
-    return Ups(grid.transposed, tp, tl1, tl2, td)
-
-
-def _transpose_bits(bits: int, rows: int, stride: int, out_stride: int) -> int:
-    if bits == 0:
-        return 0
-    table = _spread_table(out_stride)
-    row_mask = (1 << stride) - 1
-    out = 0
-    ops = 0
-    for i in range(rows):
-        row = (bits >> (i * stride)) & row_mask
-        shift = i
-        while row:
-            out |= table[row & 0xFF] << shift
-            row >>= 8
-            shift += 8 * out_stride
-            ops += 1
-    METER.flag_ops += ops
-    return out
-
-
-def _merge_random_rows(grid: PayoffGrid, ap: int, al1: int, bp: int, bl1: int):
-    """Indifference merge for player 1 on row-major bits; returns raw flags.
-
-    Per grid row shared by both point sets, fill points and vertical
-    segments from the lowest to the highest flagged column of either set;
-    per segment row shared by both horizontal-segment sets, fill segments
-    and cells likewise.
-    """
-    n1, n2 = grid.n1, grid.n2
-    row_mask = grid.row_mask
-    p = l1 = l2 = d = 0
-    ops = 2
-    for i in range(n1):
-        off = i * n2
-        ra = (ap >> off) & row_mask
-        ops += 1
-        if not ra:
-            continue
-        rb = (bp >> off) & row_mask
-        if not rb:
-            continue
-        u = ra | rb
-        low = (u & -u).bit_length() - 1
-        span = u.bit_length() - low
-        p |= ((1 << span) - 1) << (off + low)
-        if span > 1:
-            l2 |= ((1 << (span - 1)) - 1) << (off + low)
-        ops += 4
-    for i in range(n1 - 1):
-        off = i * n2
-        ra = (al1 >> off) & row_mask
-        ops += 1
-        if not ra:
-            continue
-        rb = (bl1 >> off) & row_mask
-        if not rb:
-            continue
-        u = ra | rb
-        low = (u & -u).bit_length() - 1
-        span = u.bit_length() - low
-        l1 |= ((1 << span) - 1) << (off + low)
-        if span > 1:
-            d |= ((1 << (span - 1)) - 1) << (off + low)
-        ops += 4
-    METER.flag_ops += ops
-    return p, l1, l2, d
 
 
 def merge_random(a: Ups, b: Ups, x: int) -> Ups:
     """All convex combinations of one point from each set that agree in the
-    player-x coordinate; saturated."""
+    player-x coordinate; saturated.
+
+    Every point of a player-x lane pays x the same, so where both sets
+    have points in a lane, the mixes fill it from the lowest to the
+    highest point of either set; where both have segments that cross the
+    lanes at the same place, the mixes fill cells likewise.
+    """
     _same_grid(a, b)
-    if x == 2:
-        return transpose(merge_random(transpose(a), transpose(b), 1))
-    if x != 1:
-        raise ValueError(f"player index must be 1 or 2, got {x}")
     grid = a.grid
-    bits = _merge_random_rows(grid, a.p, a.l1, b.p, b.l1)
-    METER.flag_ops += 10
-    return Ups(grid, *_saturate_bits(grid.n2, *bits))
+    lanes = _player_lanes(grid, x)
+    work = grid.work
+    pts = _spans(lanes, work, a.p, b.p)
+    # The segments across player-x lanes: l1 for x = 1, l2 for x = 2.
+    if x == 1:
+        cross = _spans(lanes, work, a.l1, b.l1)
+    else:
+        cross = _spans(lanes, work, a.l2, b.l2)
+    # Spans are contiguous in their lane, so a bit whose next neighbour is
+    # also flagged starts a segment along the lane (or a cell).
+    shift, along = lanes.step, lanes.along
+    joins = pts & (pts >> shift) & along
+    d = cross & (cross >> shift) & along
+    l1, l2 = (cross, joins) if x == 1 else (joins, cross)
+    work.flag_ops += 16
+    return Ups(grid, *_saturate_bits(grid.n2, pts, l1, l2, d))
 
 
 def merge(a: Ups, b: Ups, x: int) -> Ups:
@@ -402,7 +380,7 @@ def merge(a: Ups, b: Ups, x: int) -> Ups:
         merge_random(a, b, x),
         union(merge_ldet(a, b, x), merge_ldet(b, a, x)),
     )
-    METER.merges += 1
+    a.grid.work.merges += 1
     return result
 
 
@@ -410,7 +388,7 @@ def merge_deterministic(a: Ups, b: Ups, x: int) -> Ups:
     """Merge variant that never mixes; on point-only inputs the result is
     again point-only."""
     result = union(merge_ldet(a, b, x), merge_ldet(b, a, x))
-    METER.merges += 1
+    a.grid.work.merges += 1
     return result
 
 
@@ -444,7 +422,6 @@ def cross_section(a: Ups, x: int, v: Fraction) -> tuple[int, int]:
         for i in range(n1):
             pts |= (pts_src >> (i * n2 + j) & 1) << i
             segs |= (seg_src >> (i * n2 + j) & 1) << i
-        METER.flag_ops += n1
         return pts, segs
     raise ValueError(f"player index must be 1 or 2, got {x}")
 

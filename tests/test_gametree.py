@@ -50,11 +50,18 @@ class TestParseGameTree:
             parse_game_tree(text)
 
     def test_syntax_error_reports_line_and_column(self):
-        text = "gtree v1\nroot 1\nnode 1 player 7 children 2 3\n"
-        with pytest.raises(GtreeParseError) as err:
-            parse_game_tree(text)
-        assert err.value.line == 3
-        assert err.value.column == 15
+        cases = [
+            ("gtree v1\nroot 1\nnode 1 player 7 children 2 3\n", 3, 15),
+            # Only ASCII digits are numbers: a superscript two, an id with
+            # more digits than int() converts, and an Arabic-Indic three.
+            ("gtree v1\nroot 1\nnode 1 player 1 children 2 ²\nleaf 2 payoff 0 0\n", 3, 28),
+            ("gtree v1\nroot " + "1" * 5000 + "\nleaf 1 payoff 0 0\n", 2, 6),
+            ("gtree v1\nroot 1\nleaf 1 payoff ٣ 0\n", 3, 15),
+        ]
+        for text, line, column in cases:
+            with pytest.raises(GtreeParseError) as err:
+                parse_game_tree(text)
+            assert (err.value.line, err.value.column) == (line, column)
 
     def test_duplicate_id(self):
         text = (
@@ -338,11 +345,14 @@ class TestIsEquilibrium:
     def test_committed_strategy_is_equilibrium(self, demo_tree):
         check = is_equilibrium(demo_tree, pure_strategy({1: 2, 2: 5}))
         assert check.ok and check.witness is None
+        assert check.value == pv(2, 100)
 
     def test_root_mixing_without_indifference_fails(self, demo_tree):
-        check = is_equilibrium(demo_tree, _mixed_strategy(HALF, Fraction(1)))
+        strategy = _mixed_strategy(HALF, Fraction(1))
+        check = is_equilibrium(demo_tree, strategy)
         assert not check.ok
         assert check.witness == 1
+        assert check.value == evaluate(demo_tree, strategy)[1]
 
     def test_indifferent_mixing_below_is_equilibrium(self, demo_tree):
         strategy = Strategy(

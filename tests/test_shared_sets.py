@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
+import threading
 
 from nashtree.gametree import (
     GameTree,
@@ -166,6 +168,31 @@ def test_fewer_distinct_merges_on_card_hands():
     result = best_nash(work, "social")
     assert result.stats.merges == len(work.internal_ids())
     assert 0 < result.stats.distinct_merges < result.stats.merges
+
+
+def test_flag_ops_exact_under_threads():
+    # Each solve counts on its own grid, so solves that interleave in
+    # threads must report exactly their single-threaded work.
+    config = OhohConfig(3, "flat")
+    trees = [binarize(build_tree(deal(config, seed), config)) for seed in range(4)]
+    solo = [compute_ups_all(tree).flag_ops for tree in trees]
+    got = [None] * 8
+
+    def solve(k: int) -> None:
+        got[k] = compute_ups_all(trees[k % 4]).flag_ops
+
+    threads = [threading.Thread(target=solve, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [solo[k % 4] for k in range(8)]
 
 
 def test_strategies_byte_identical_to_golden():

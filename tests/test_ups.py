@@ -6,7 +6,6 @@ import pytest
 from nashtree.gametree import parse_game_tree
 from nashtree.oracle import brute_contains
 from nashtree.ups import (
-    METER,
     EmptySetError,
     GridMismatchError,
     PayoffGrid,
@@ -25,16 +24,14 @@ from nashtree.ups import (
     merge_random,
     min_point,
     min_value_for_player,
-    reset_meter,
     saturate,
     serialize_ups,
     singleton_ups,
-    transpose,
     union,
     ups_from_flags,
 )
 
-from .helpers import pv, random_grid, random_saturated_ups
+from .helpers import edge_case_pair, pv, random_grid, random_saturated_ups, transpose
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +67,10 @@ class TestGrid:
             PayoffGrid((Fraction(1), Fraction(1)), (Fraction(0),))
 
     def test_transposed_grid_is_reciprocal(self, demo):
-        grid = demo[0]
-        assert grid.transposed.u1 == grid.u2
-        assert grid.transposed.transposed is grid
+        grid, u1, *_ = demo
+        swapped = transpose(u1).grid
+        assert (swapped.u1, swapped.u2) == (grid.u2, grid.u1)
+        assert transpose(transpose(u1)).grid == grid
 
 
 class TestConstructors:
@@ -298,10 +296,13 @@ class TestMerge:
 class TestTranspose:
     def test_involution_and_symmetry(self):
         rng = random.Random(29)
-        for _ in range(60):
-            grid = random_grid(rng)
-            a = random_saturated_ups(rng, grid)
-            b = random_saturated_ups(rng, grid)
+        for case in range(120):
+            if case < 60:
+                grid = random_grid(rng)
+                a = random_saturated_ups(rng, grid)
+                b = random_saturated_ups(rng, grid)
+            else:
+                a, b = edge_case_pair(rng)
             assert equal_ups(transpose(transpose(a)), a)
             if is_empty(a) or is_empty(b):
                 continue
@@ -384,10 +385,10 @@ class TestMeterAndDump:
             b = random_saturated_ups(rng, grid)
             if is_empty(a) or is_empty(b):
                 continue
-            reset_meter()
+            ops = grid.work.flag_ops  # the operands' saturation counts too
             merge(a, b, rng.randint(1, 2))
-            assert METER.merges == 1
-            assert METER.flag_ops <= 96 * max(grid.n1 * grid.n2, 1)
+            assert grid.work.merges == 1
+            assert grid.work.flag_ops - ops <= 96 * max(grid.n1 * grid.n2, 1)
 
     def test_dump_format(self, demo):
         _, u1, *_ = demo
