@@ -27,7 +27,7 @@ from .gametree import (
     serialize_strategy,
 )
 from .ohoh import MISS_PENALTY_MODES, OhohConfig, build_tree, deal, serialize_deal
-from .oracle import cross_validate
+from .oracle import MAX_SAMPLES, cross_validate
 from .rationals import format_rational
 from .solver import (
     CRITERIA,
@@ -58,6 +58,13 @@ def _nonneg(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("count must be >= 0")
+    return value
+
+
+def _samples(text: str) -> int:
+    value = _nonneg(text)
+    if value > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"samples must be <= {MAX_SAMPLES}")
     return value
 
 
@@ -111,7 +118,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="brute-force cross-check a small tree")
     p.add_argument("--input", required=True, help=".gtree file")
     p.add_argument("--seed", type=_u64, default=0)
-    p.add_argument("--samples", type=_nonneg, default=3, help="interior samples per element")
+    p.add_argument("--samples", type=_samples, default=3, help="interior samples per element")
     p.set_defaults(func=_cmd_oracle)
     return parser
 

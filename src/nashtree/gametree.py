@@ -13,6 +13,7 @@ are meaningful and must be exact, so no floating point is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,18 +83,18 @@ class GameTree:
 
     @cached_property
     def _post_order(self) -> tuple[int, ...]:
+        # A preorder that takes children last to first, reversed, is the
+        # post-order that takes them first to last.
+        nodes = self.nodes
         order: list[int] = []
-        stack: list[tuple[int, bool]] = [(self.root, False)]
+        stack = [self.root]
         while stack:
-            nid, expanded = stack.pop()
-            if expanded:
-                order.append(nid)
-                continue
-            stack.append((nid, True))
-            node = self.nodes[nid]
+            nid = stack.pop()
+            order.append(nid)
+            node = nodes[nid]
             if isinstance(node, Internal):
-                for child in reversed(node.children):
-                    stack.append((child, False))
+                stack.extend(node.children)
+        order.reverse()
         return tuple(order)
 
     def post_order(self) -> Iterator[int]:
@@ -232,32 +233,75 @@ def _hard_violations(violations: list[str]) -> list[str]:
 
 
 # -- .gtree text format -------------------------------------------------------
+#
+# Both parsers make one pass over `str.split()` tokens. A token's column is
+# worked out only when an error is raised, by re-scanning its line.
 
 
 _TOKEN_RE = re.compile(r"\S+")
 
 
-def _tokenize(text: str) -> list[list[tuple[str, int, int]]]:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        lines.append(
-            [(m.group(0), lineno, m.start() + 1) for m in _TOKEN_RE.finditer(body)]
-        )
-    return lines
+def _content(lines: list[str]) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line without its comment, tokens) of each non-blank line."""
+    for lineno, raw in enumerate(lines, start=1):
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        if tokens:
+            yield lineno, body, tokens
 
 
-_DIGITS_RE = re.compile(r"[0-9]+")
+def _error(message: str, lineno: int, body: str, k: int = 0) -> GtreeParseError:
+    """An error located at the k-th token of a line."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(body), k, None))
+    return GtreeParseError(message, lineno, match.start() + 1)
 
 
-def _parse_positive_int(token: str, lineno: int, col: int, what: str) -> int:
-    try:
-        value = int(token) if _DIGITS_RE.fullmatch(token) else 0
-    except ValueError as exc:  # more digits than int() converts
-        raise GtreeParseError(f"{what}: {exc}", lineno, col) from None
-    if value <= 0:
-        raise GtreeParseError(f"{what} must be a positive integer, got {token!r}", lineno, col)
+def _positive_int(tokens: list[str], k: int, what: str, lineno: int, body: str) -> int:
+    token = tokens[k]
+    if token.isdigit() and token.isascii():
+        try:
+            value = int(token)
+        except ValueError as exc:  # more digits than int() converts
+            raise _error(f"{what}: {exc}", lineno, body, k) from None
+        if value:
+            return value
+    raise _error(f"{what} must be a positive integer, got {token!r}", lineno, body, k)
+
+
+def _rational(
+    tokens: list[str], k: int, interned: dict[str, Fraction], lineno: int, body: str
+) -> Fraction:
+    """The k-th token as a rational; equal tokens share one Fraction."""
+    token = tokens[k]
+    value = interned.get(token)
+    if value is None:
+        try:
+            value = interned[token] = parse_rational(token)
+        except ValueError as exc:
+            raise _error(str(exc), lineno, body, k) from None
     return value
+
+
+def _is_tree(tree: GameTree) -> bool:
+    """Linear-time test that validate() reports no hard violation.
+
+    If every child is declared, no child is listed twice, there are n - 1
+    child references and the root is not among them, every other node has
+    exactly one parent. The post-order walk from the root, which the tree
+    keeps, then rules out cycles by reaching all n nodes.
+    """
+    nodes = tree.nodes
+    children = [c for node in nodes.values() if isinstance(node, Internal) for c in node.children]
+    distinct = set(children)
+    if (
+        tree.root not in nodes
+        or tree.root in distinct
+        or len(children) != len(nodes) - 1
+        or len(distinct) != len(children)
+        or not nodes.keys() >= distinct
+    ):
+        return False
+    return len(tree._post_order) == len(nodes)
 
 
 def parse_game_tree(text: str) -> GameTree:
@@ -267,77 +311,89 @@ def parse_game_tree(text: str) -> GameTree:
     repeated root declaration, dangling child references, shared or cyclic
     children, and unreachable nodes. Single-child internal nodes are
     accepted here; validate() still reports them.
+
+    Parsing takes time linear in the text: one pass over its tokens and a
+    linear structural check, with validate() run only to word an error.
+    Leaves whose payoff tokens are equal share one Leaf and PayoffVector,
+    and equal rational tokens share one Fraction, as in generated trees.
     """
-    lines = _tokenize(text)
+    lines = text.splitlines()
+    content = _content(lines)
+    header = next(content, None)
+    if header is None:
+        raise GtreeParseError("empty input, expected header 'gtree v1'", 1, 1)
+    lineno, body, tokens = header
+    if tokens != ["gtree", "v1"]:
+        raise _error("expected header 'gtree v1'", lineno, body)
     nodes: dict[int, Node] = {}
     root: int | None = None
-    seen_header = False
-    for tokens in lines:
-        if not tokens:
-            continue
-        word, lineno, col = tokens[0]
-        if not seen_header:
-            if word != "gtree" or len(tokens) != 2 or tokens[1][0] != "v1":
-                raise GtreeParseError("expected header 'gtree v1'", lineno, col)
-            seen_header = True
-            continue
-        if word == "root":
-            if len(tokens) != 2:
-                raise GtreeParseError("expected 'root <id>'", lineno, col)
-            if root is not None:
-                raise GtreeParseError("duplicate root declaration", lineno, col)
-            root = _parse_positive_int(tokens[1][0], tokens[1][1], tokens[1][2], "root id")
-        elif word == "node":
-            if len(tokens) < 6 or tokens[2][0] != "player" or tokens[4][0] != "children":
-                raise GtreeParseError(
-                    "expected 'node <id> player <1|2> children <id> [...]'", lineno, col
+    rationals: dict[str, Fraction] = {}
+    leaves: dict[tuple[str, str], Leaf] = {}
+    for lineno, body, tokens in content:
+        word = tokens[0]
+        if word == "node":
+            if len(tokens) < 6 or tokens[2] != "player" or tokens[4] != "children":
+                raise _error(
+                    "expected 'node <id> player <1|2> children <id> [...]'", lineno, body
                 )
-            nid = _parse_positive_int(tokens[1][0], tokens[1][1], tokens[1][2], "node id")
+            nid = _positive_int(tokens, 1, "node id", lineno, body)
             if nid in nodes:
-                raise GtreeParseError(f"duplicate id {nid}", tokens[1][1], tokens[1][2])
-            ptok, plin, pcol = tokens[3]
-            if ptok not in ("1", "2"):
-                raise GtreeParseError(f"player must be 1 or 2, got {ptok!r}", plin, pcol)
+                raise _error(f"duplicate id {nid}", lineno, body, 1)
+            player = tokens[3]
+            if player != "1" and player != "2":
+                raise _error(f"player must be 1 or 2, got {player!r}", lineno, body, 3)
             children = tuple(
-                _parse_positive_int(t, ln, c, "child id") for t, ln, c in tokens[5:]
+                [_positive_int(tokens, k, "child id", lineno, body) for k in range(5, len(tokens))]
             )
-            nodes[nid] = Internal(int(ptok), children)
+            nodes[nid] = Internal(int(player), children)
         elif word == "leaf":
-            if len(tokens) != 5 or tokens[2][0] != "payoff":
-                raise GtreeParseError("expected 'leaf <id> payoff <rat> <rat>'", lineno, col)
-            nid = _parse_positive_int(tokens[1][0], tokens[1][1], tokens[1][2], "leaf id")
+            if len(tokens) != 5 or tokens[2] != "payoff":
+                raise _error("expected 'leaf <id> payoff <rat> <rat>'", lineno, body)
+            nid = _positive_int(tokens, 1, "leaf id", lineno, body)
             if nid in nodes:
-                raise GtreeParseError(f"duplicate id {nid}", tokens[1][1], tokens[1][2])
-            payoffs = []
-            for t, ln, c in tokens[3:5]:
-                try:
-                    payoffs.append(parse_rational(t))
-                except ValueError as exc:
-                    raise GtreeParseError(str(exc), ln, c) from None
-            nodes[nid] = Leaf(PayoffVector(payoffs[0], payoffs[1]))
+                raise _error(f"duplicate id {nid}", lineno, body, 1)
+            key = (tokens[3], tokens[4])
+            leaf = leaves.get(key)
+            if leaf is None:
+                p1 = _rational(tokens, 3, rationals, lineno, body)
+                p2 = _rational(tokens, 4, rationals, lineno, body)
+                leaf = leaves[key] = Leaf(PayoffVector(p1, p2))
+            nodes[nid] = leaf
+        elif word == "root":
+            if len(tokens) != 2:
+                raise _error("expected 'root <id>'", lineno, body)
+            if root is not None:
+                raise _error("duplicate root declaration", lineno, body)
+            root = _positive_int(tokens, 1, "root id", lineno, body)
         else:
-            raise GtreeParseError(f"unknown directive {word!r}", lineno, col)
-    if not seen_header:
-        raise GtreeParseError("empty input, expected header 'gtree v1'", 1, 1)
+            raise _error(f"unknown directive {word!r}", lineno, body)
     if root is None:
         raise GtreeParseError("missing root declaration", len(lines) or 1, 1)
     tree = GameTree(root, nodes)
-    hard = _hard_violations(validate(tree))
-    if hard:
+    if not _is_tree(tree):
+        hard = _hard_violations(validate(tree))
         raise GtreeParseError("; ".join(hard), len(lines) or 1, 1)
     return tree
 
 
 def serialize_game_tree(tree: GameTree) -> str:
-    """Render canonical `.gtree` text: header, root, then nodes ascending by id."""
+    """Render canonical `.gtree` text: header, root, then nodes ascending by id.
+
+    Each payoff object is formatted once, however many leaves share it.
+    """
     out = ["gtree v1", f"root {tree.root}"]
-    for nid in sorted(tree.nodes):
-        node = tree.nodes[nid]
+    nodes = tree.nodes
+    payoffs: dict[int, str] = {}
+    for nid in sorted(nodes):
+        node = nodes[nid]
         if isinstance(node, Internal):
-            kids = " ".join(str(c) for c in node.children)
+            kids = " ".join(map(str, node.children))
             out.append(f"node {nid} player {node.controller} children {kids}")
         else:
-            out.append(f"leaf {nid} payoff {node.payoff}")
+            payoff = payoffs.get(id(node.payoff))
+            if payoff is None:
+                payoff = payoffs[id(node.payoff)] = str(node.payoff)
+            out.append(f"leaf {nid} payoff {payoff}")
     return "\n".join(out) + "\n"
 
 
@@ -345,49 +401,41 @@ def serialize_game_tree(tree: GameTree) -> str:
 
 
 def parse_strategy(text: str) -> Strategy:
-    """Parse strategy text (`strategy v1`, then one `at` line per node)."""
-    lines = _tokenize(text)
+    """Parse strategy text (`strategy v1`, then one `at` line per node).
+
+    Like parse_game_tree, one pass over the tokens; equal probability
+    tokens share one Fraction.
+    """
+    content = _content(text.splitlines())
+    header = next(content, None)
+    if header is None:
+        raise GtreeParseError("empty input, expected header 'strategy v1'", 1, 1)
+    lineno, body, tokens = header
+    if tokens != ["strategy", "v1"]:
+        raise _error("expected header 'strategy v1'", lineno, body)
     choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
-    seen_header = False
-    for tokens in lines:
-        if not tokens:
-            continue
-        word, lineno, col = tokens[0]
-        if not seen_header:
-            if word != "strategy" or len(tokens) != 2 or tokens[1][0] != "v1":
-                raise GtreeParseError("expected header 'strategy v1'", lineno, col)
-            seen_header = True
-            continue
-        if word != "at":
-            raise GtreeParseError(f"expected 'at', got {word!r}", lineno, col)
-        if len(tokens) < 6 or tokens[2][0] != "choose":
-            raise GtreeParseError(
+    rationals: dict[str, Fraction] = {}
+    for lineno, body, tokens in content:
+        if tokens[0] != "at":
+            raise _error(f"expected 'at', got {tokens[0]!r}", lineno, body)
+        if len(tokens) < 6 or tokens[2] != "choose":
+            raise _error(
                 "expected 'at <id> choose <child> prob <rat> [<child> prob <rat> ...]'",
                 lineno,
-                col,
+                body,
             )
-        nid = _parse_positive_int(tokens[1][0], tokens[1][1], tokens[1][2], "node id")
+        nid = _positive_int(tokens, 1, "node id", lineno, body)
         if nid in choices:
-            raise GtreeParseError(f"duplicate 'at {nid}' line", lineno, col)
-        rest = tokens[3:]
-        if len(rest) % 3 != 0:
-            raise GtreeParseError("incomplete '<child> prob <rat>' group", lineno, col)
+            raise _error(f"duplicate 'at {nid}' line", lineno, body)
+        if len(tokens) % 3:
+            raise _error("incomplete '<child> prob <rat>' group", lineno, body)
         entries = []
-        for k in range(0, len(rest), 3):
-            ctok, clin, ccol = rest[k]
-            kw, klin, kcol = rest[k + 1]
-            rtok, rlin, rcol = rest[k + 2]
-            if kw != "prob":
-                raise GtreeParseError(f"expected 'prob', got {kw!r}", klin, kcol)
-            child = _parse_positive_int(ctok, clin, ccol, "child id")
-            try:
-                prob = parse_rational(rtok)
-            except ValueError as exc:
-                raise GtreeParseError(str(exc), rlin, rcol) from None
-            entries.append((child, prob))
+        for k in range(3, len(tokens), 3):
+            if tokens[k + 1] != "prob":
+                raise _error(f"expected 'prob', got {tokens[k + 1]!r}", lineno, body, k + 1)
+            child = _positive_int(tokens, k, "child id", lineno, body)
+            entries.append((child, _rational(tokens, k + 2, rationals, lineno, body)))
         choices[nid] = tuple(entries)
-    if not seen_header:
-        raise GtreeParseError("empty input, expected header 'strategy v1'", 1, 1)
     return Strategy(choices)
 
 
@@ -410,6 +458,10 @@ def check_strategy(tree: GameTree, strategy: Strategy) -> list[str]:
             problems.append(f"no entry for internal node {nid}")
             continue
         node = tree.nodes[nid]
+        if len(entries) == 1 and entries[0][1] == 1:
+            if entries[0][0] not in node.children:
+                problems.append(f"node {nid}: {entries[0][0]} is not a child")
+            continue
         total = Fraction(0)
         for child, prob in entries:
             if child not in node.children:

@@ -91,6 +91,12 @@ def enumerate_pure_spe(
 
 # -- point sampling -------------------------------------------------------------
 
+# Upper bound on interior samples per flagged element accepted from the
+# command line. Every sampled point costs one extraction and one check, so
+# the bound keeps a hostile value from storming memory; tests, demos and
+# the benchmark use 3.
+MAX_SAMPLES = 1000
+
 
 def _random_unit_fraction(rng: random.Random) -> Fraction:
     den = rng.randint(2, 12)

@@ -1,9 +1,12 @@
 import json
 
-from nashtree import experiment
-from nashtree.cli import main
+import pytest
+
+from nashtree import cli, experiment
+from nashtree.cli import _build_parser, main
 from nashtree.gametree import parse_game_tree
 from nashtree.ohoh import parse_deal
+from nashtree.oracle import MAX_SAMPLES
 
 from .conftest import DATA
 
@@ -174,6 +177,18 @@ class TestExitCodes:
 
     def test_usage_error_bad_seed(self, capsys):
         assert main(["gen-ohoh", "--cards", "2", "--seed", "-1", "--out", "x"]) == 1
+
+    def test_samples_above_bound_is_usage_error(self, capsys, monkeypatch):
+        # Only argument parsing may run: no value here reaches the oracle.
+        def no_oracle(*args, **kwargs):
+            pytest.fail("oracle started")
+
+        monkeypatch.setattr(cli, "cross_validate", no_oracle)
+        for value in (str(MAX_SAMPLES + 1), "9" * 30):
+            assert main(["oracle", "--input", DEMO, "--samples", value]) == 1
+            assert f"samples must be <= {MAX_SAMPLES}" in capsys.readouterr().err
+        args = ["oracle", "--input", DEMO, "--samples", str(MAX_SAMPLES)]
+        assert _build_parser().parse_args(args).samples == MAX_SAMPLES
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["solve", "--input", "/no/such.gtree", "--criterion", "social"]) == 2
