@@ -228,7 +228,7 @@ def validate(tree: GameTree) -> list[str]:
 
 def _hard_violations(violations: list[str]) -> list[str]:
     # Arity-1 nodes are tolerated at parse time: generated trees may contain
-    # forced single moves, which binarize() later splices out.
+    # forced single moves, which the solvers pass through.
     return [v for v in violations if "arity < 2" not in v]
 
 

@@ -128,7 +128,7 @@ def build_tree(deal_: Deal, config: OhohConfig) -> GameTree:
     whose sum with it differs from k, then 2k card plays alternate between
     the current button and the opponent. Forced plays (a single legal
     card) still get a node, so every root-to-leaf path has 2 + 2k
-    decisions; binarize() splices those pass-through nodes before solving.
+    decisions; the solvers pass those forced moves straight through.
     Node ids are assigned in preorder; children are ordered by ascending
     contract and by (suit C<D<H<S, then rank) for cards.
     """

@@ -22,7 +22,6 @@ from .gametree import (
     Leaf,
     PayoffVector,
     Strategy,
-    binarize,
     evaluate,
     is_equilibrium,
     pure_strategy,
@@ -370,11 +369,10 @@ def _det_points(root_det: Ups) -> set[PayoffVector] | None:
 
 def _run_checks(tree: GameTree, seed: int, samples: int) -> OracleReport:
     pure = enumerate_pure_spe(tree)
-    work = tree if tree.is_binary() else binarize(tree)
-    full_map = compute_ups_all(work)
-    det_map = compute_det_ups_all(work)
-    root_full = full_map.by_node[work.root]
-    root_det = det_map.by_node[work.root]
+    full_map = compute_ups_all(tree)
+    det_map = compute_det_ups_all(tree)
+    root_full = full_map.by_node[tree.root]
+    root_det = det_map.by_node[tree.root]
 
     containment_ok = all(contains(root_full, v) for v in pure)
     det_points = _det_points(root_det)
@@ -383,12 +381,12 @@ def _run_checks(tree: GameTree, seed: int, samples: int) -> OracleReport:
     failures: list[tuple[PayoffVector, str]] = []
     for target in sample_ups_points(root_full, per_element=samples, seed=seed):
         try:
-            strat = extract_strategy(work, full_map, work.root, target)
-            check = is_equilibrium(work, strat)
+            strat = extract_strategy(tree, full_map, tree.root, target)
+            check = is_equilibrium(tree, strat)
             if not check.ok:
                 failures.append((target, f"extracted strategy violates at node {check.witness}"))
                 continue
-            got = evaluate(work, strat)[work.root]
+            got = evaluate(tree, strat)[tree.root]
             if got != target:
                 failures.append((target, f"extracted value {got} != target"))
         except Exception as exc:  # noqa: BLE001 - failures belong in the report

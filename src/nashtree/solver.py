@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .gametree import (
-    GameTree,
-    Leaf,
-    PayoffVector,
-    Strategy,
-    binarize,
-)
+from .gametree import GameTree, Leaf, PayoffVector, Strategy
 from .ups import (
     PayoffGrid,
     Ups,
@@ -71,7 +65,8 @@ def criterion_value(criterion: str, v: PayoffVector) -> Fraction:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work and time of one solve; the counters are those of its `SetMap`."""
+    """Work and time of one solve; the counters are those of its `SetMap`,
+    and `nodes` counts the tree as given, which is solved in place."""
 
     nodes: int
     merges: int = 0
@@ -92,16 +87,17 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SetMap:
-    """Per-node equilibrium payoff sets of a binary tree, on a shared grid.
+    """Per-node equilibrium payoff sets of a game tree, on a shared grid.
 
-    Equal sets are one shared object. `merges` counts internal nodes
-    combined (one per internal node), `distinct_merges` the merges actually
-    computed (one per distinct controller and pair of child sets), and
-    `flag_ops` the flag work those computed merges did.
+    Equal sets are one shared object. `merges` counts binary merges (m - 1
+    per m-ary node: the internal nodes of `binarize(tree)`); `merged` maps
+    each distinct (controller, left set id, right set id) to its merge,
+    `distinct_merges` counts those, and `flag_ops` is their flag work.
     """
 
     grid: PayoffGrid
     by_node: dict[int, Ups]
+    merged: dict[tuple[int, int, int], Ups]
     merges: int
     distinct_merges: int
     flag_ops: int
@@ -137,14 +133,16 @@ def any_nash(tree: GameTree) -> SolveResult:
 def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> SetMap:
     """Fold `combine` up the tree, computing each distinct merge once.
 
+    A node's children c0 .. c(m-1) fold right to left in `binarize`'s chain
+    order, combine(S(c0), combine(S(c1), ... S(c(m-1)))); one child passes
+    its set through.
+
     Saturated flags are a canonical form, so sets are interned by their
     four flag ints and equal sets share one `Ups` object; a merge is then
     keyed by (controller, left object, right object). Keys hold ints and
     object ids only: hashing the `Fraction` payoffs costs more than the
     sharing saves on small trees.
     """
-    if not tree.is_binary():
-        raise ValueError("equilibrium sets require a binary tree; binarize() first")
     grid = build_grid(tree)
     nodes = tree.nodes
     interned: dict[tuple[int, int, int, int], Ups] = {}
@@ -166,17 +164,23 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
                 ups = leaves[id(node.payoff)] = intern(singleton_ups(grid, node.payoff))
             by_node[nid] = ups
             continue
-        merges += 1
-        left, right = node.children
-        a, b = by_node[left], by_node[right]
-        key = (node.controller, id(a), id(b))
-        ups = merged.get(key)
-        if ups is None:
-            ups = merged[key] = intern(combine(a, b, node.controller))
-        by_node[nid] = ups
+        x, kids = node.controller, node.children
+        k = len(kids) - 1
+        merges += k
+        acc = by_node[kids[k]]
+        while k:
+            k -= 1
+            a = by_node[kids[k]]
+            key = (x, id(a), id(acc))
+            ups = merged.get(key)
+            if ups is None:
+                ups = merged[key] = intern(combine(a, acc, x))
+            acc = ups
+        by_node[nid] = acc
     return SetMap(
         grid=grid,
         by_node=by_node,
+        merged=merged,
         merges=merges,
         distinct_merges=len(merged),
         flag_ops=grid.work.flag_ops,
@@ -184,7 +188,7 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
 
 
 def compute_ups_all(tree: GameTree) -> SetMap:
-    """Equilibrium payoff set of every subtree (one merge per internal node)."""
+    """Equilibrium payoff set of every subtree (m - 1 merges per m-ary node)."""
     return _compute_sets(tree, merge)
 
 
@@ -261,8 +265,8 @@ def _point_on_axis(x: int, v: Fraction, other: Fraction) -> PayoffVector:
     return PayoffVector(v, other) if x == 1 else PayoffVector(other, v)
 
 
-# Extraction decisions that commit to one child; a mixing decision is the
-# pair of child probabilities instead.
+# Extraction decisions that commit to one side of a link; a mixing decision
+# is the pair of side probabilities instead.
 _LEFT, _RIGHT = "left", "right"
 
 
@@ -272,15 +276,18 @@ def extract_strategy(
     """A strategy for the subtree at `node` whose value there is exactly
     `target` and which is locally optimal everywhere in the subtree.
 
-    Walk top-down. At each internal node, prefer committing to the left
-    child, then to the right, and mix only when the target is attainable
-    solely as a combination of controller-indifferent payoffs. The
-    unchosen subtree is sent to its own worst payoff for the controller
-    (the punishment that makes the chosen branch locally optimal); mixing
-    recurses into both children with the two endpoint payoffs.
+    Walk top-down, each node as the chain of links its set was folded
+    from: link k chooses between child k and the merged set of the later
+    children (`set_map.merged`). At each link, prefer committing left, then
+    right, and mix only when the target is attainable solely as a
+    combination of controller-indifferent payoffs. The unchosen side is
+    sent to its own worst payoff for the controller (the punishment that
+    makes the chosen branch locally optimal); mixing goes on into both
+    sides with the two endpoint payoffs. A child is played with the
+    probability of reaching its link and going left; zeros are left out.
 
-    The decision at a node depends only on (controller, left set, right
-    set, target), so it is made once per distinct tuple and reused; every
+    A link's decision depends only on (controller, left set, right set,
+    target), so it is made once per distinct tuple and reused; every
     internal node still gets its own `choices` entry.
     """
     by_node = set_map.by_node
@@ -305,6 +312,7 @@ def extract_strategy(
 
     choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
     stack: list[tuple[int, PayoffVector]] = [(node, target)]
+    push = stack.append
     while stack:
         nid, want = stack.pop()
         tnode = nodes[nid]
@@ -317,31 +325,47 @@ def extract_strategy(
                     )
                 leaves_paid.add(paid)
             continue
-        x = tnode.controller
-        left, right = tnode.children
-        ul, ur = by_node[left], by_node[right]
-        key = (x, id(ul), id(ur), id(want))
-        step = steps.get(key)
-        if step is None:
-            step = steps[key] = (want, *_extraction_step(
-                set_map.grid, floor, x, ul, ur, want, nid, nid == node
-            ))
-        _, probs, want_left, want_right = step
-        if probs is _LEFT:
-            choices[nid] = ((left, ONE),)
-        elif probs is _RIGHT:
-            choices[nid] = ((right, ONE),)
-        else:
-            choices[nid] = ((left, probs[0]), (right, probs[1]))
-        stack.append((left, want_left))
-        stack.append((right, want_right))
+        x, kids = tnode.controller, tnode.children
+        last = len(kids) - 1
+        # The first link's right-hand set, and (m > 2) the later links'.
+        ur, rights = by_node[kids[last]], None
+        if last > 1:
+            rights = []
+            for child in kids[last - 1:0:-1]:
+                rights.append(ur)
+                ur = set_map.merged[(x, id(by_node[child]), id(ur))]
+        entries = ()
+        reach = ONE  # None once an earlier link has committed left
+        k = 0
+        while k < last:
+            child = kids[k]
+            k += 1
+            ul = by_node[child]
+            key = (x, id(ul), id(ur), id(want))
+            step = steps.get(key)
+            if step is None:
+                at_start = nid == node and k == 1
+                step = steps[key] = (want, *_extraction_step(
+                    set_map.grid, floor, x, ul, ur, want, nid, at_start
+                ))
+            if rights:
+                ur = rights.pop()
+            _, probs, want_left, want = step
+            push((child, want_left))
+            if reach is not None and probs is not _RIGHT:
+                entries += ((child, reach if probs is _LEFT else reach * probs[0]),)
+                reach = None if probs is _LEFT else reach * probs[1]
+        push((kids[last], want))
+        if reach is not None:
+            entries += ((kids[last], reach),)
+        choices[nid] = entries
     return Strategy(choices)
 
 
 def _extraction_step(grid, floor, x, ul, ur, want, nid, at_start):
-    """One extraction decision at node `nid`: (_LEFT, _RIGHT or the mixing
-    probabilities, left child target, right child target). `floor(u, x)` is
-    the set's minimal point for player x, the punishment target."""
+    """One extraction decision at a link of node `nid`: (_LEFT, _RIGHT or the
+    mixing probabilities, left target, right target). `floor(u, x)` is the
+    set's minimal point for player x, the punishment target."""
     want_x = want.component(x)
     if contains(ul, want) and want_x >= floor(ur, x).component(x):
         return _LEFT, want, floor(ur, x)
@@ -372,52 +396,20 @@ def _extraction_step(grid, floor, x, ul, ur, want, nid, at_start):
     return (lam, 1 - lam), _point_on_axis(x, want_x, ys), _point_on_axis(x, want_x, yt)
 
 
-def _fold_strategy(original: GameTree, solved: GameTree, strategy: Strategy) -> Strategy:
-    """Map a strategy on the binarized tree back onto the original nodes.
-
-    Chain nodes introduced for an m-ary node compose into a single
-    distribution over the original children (probability of child k is the
-    probability of reaching chain step k and branching left there); forced
-    single-child nodes get their only move with probability one.
-    """
-    nodes = original.nodes
-    choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
-    for nid in original.internal_ids():
-        kids = nodes[nid].children
-        if len(kids) == 1:
-            choices[nid] = ((kids[0], ONE),)
-            continue
-        entries = []
-        reach = ONE
-        head = nid
-        for orig_child in kids[:-1]:
-            probs = dict(strategy.choices[head])
-            solved_left, solved_right = solved.nodes[head].children
-            entries.append((orig_child, reach * probs.get(solved_left, Fraction(0))))
-            reach *= probs.get(solved_right, Fraction(0))
-            head = solved_right
-        entries.append((kids[-1], reach))
-        choices[nid] = tuple(entries)
-    return Strategy(choices)
-
-
 def _solve(tree: GameTree, criterion: str, deterministic: bool) -> SolveResult:
     t0 = time.perf_counter()
-    work = tree if tree.is_binary() else binarize(tree)
-    set_map = compute_det_ups_all(work) if deterministic else compute_ups_all(work)
+    set_map = compute_det_ups_all(tree) if deterministic else compute_ups_all(tree)
     t1 = time.perf_counter()
-    root_ups = set_map.by_node[work.root]
+    root_ups = set_map.by_node[tree.root]
     value = select_optimal(root_ups, criterion)
-    strategy = extract_strategy(work, set_map, work.root, value)
-    if work is not tree:
-        strategy = _fold_strategy(tree, work, strategy)
+    strategy = extract_strategy(tree, set_map, tree.root, value)
     t2 = time.perf_counter()
     return SolveResult(
         value=value,
         strategy=strategy,
         root_ups=root_ups,
         stats=SolveStats(
-            nodes=len(work.nodes),
+            nodes=len(tree.nodes),
             merges=set_map.merges,
             distinct_merges=set_map.distinct_merges,
             flag_ops=set_map.flag_ops,
@@ -429,7 +421,11 @@ def _solve(tree: GameTree, criterion: str, deterministic: bool) -> SolveResult:
 
 
 def best_nash(tree: GameTree, criterion: str) -> SolveResult:
-    """Optimal equilibrium under `criterion`; binarizes internally if needed."""
+    """Optimal equilibrium under `criterion`, solved on the tree as given.
+
+    The strategy may mix at any node; an m-ary node's distribution lists
+    only the children it plays with positive probability.
+    """
     return _solve(tree, criterion, deterministic=False)
 
 

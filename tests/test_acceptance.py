@@ -213,6 +213,21 @@ def test_criterion_7_five_card_scale_and_cost():
     assert ok
 
 
+def test_criterion_7_companion_raw_tree_solved_in_place():
+    """Criterion 7's contract on the unbinarized hand, with a bound per
+    computed merge: m-ary and forced nodes are folded in place, one merge
+    per link of binarize's chain (89,879 links on this hand)."""
+    config = OhohConfig(5, "flat")
+    raw = build_tree(deal(config, 0), config)
+    result = best_nash(raw, "social")
+    assert result.stats.nodes == len(raw.nodes)
+    assert result.stats.merges == len(binarize(raw).internal_ids())
+    grid = result.root_ups.grid
+    assert result.stats.flag_ops <= 96 * result.stats.distinct_merges * grid.n1 * grid.n2
+    check = is_equilibrium(raw, result.strategy)
+    assert check.ok and check.value == result.value
+
+
 def test_criterion_8_invariant_suite(ohoh_experiment):
     violations = []
 

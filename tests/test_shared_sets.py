@@ -4,7 +4,10 @@ The solver computes each distinct (controller, left set, right set) merge
 and each distinct extraction step once per call. These tests pin the
 counters on trees built to share, compare every per-node set against a
 memo-free fold, and require serialized strategies to stay byte-identical
-to a golden recorded before the sharing existed.
+to a golden recorded before the sharing existed. The golden's "raw_hands"
+and "mary_trees" sections hold strategies solved on m-ary trees (forced
+single moves and nodes of up to four children), recorded while the solver
+still binarized such trees and folded the strategy back.
 
 Re-record the golden (only when a strategy change is intended and
 explained) with ``PYTHONPATH=src python -m tests.test_shared_sets``.
@@ -54,9 +57,10 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _hand_digests(seed: int) -> dict[str, str]:
+def _hand_digests(seed: int, binarized: bool = True) -> dict[str, str]:
     config = OhohConfig(3, "flat")
-    work = binarize(build_tree(deal(config, seed), config))
+    tree = build_tree(deal(config, seed), config)
+    work = binarize(tree) if binarized else tree
     out = {}
     for criterion in CRITERIA:
         out[criterion] = _digest(serialize_strategy(best_nash(work, criterion).strategy))
@@ -78,10 +82,25 @@ def _tree_digest(seed: int) -> str:
     return _digest("".join(texts))
 
 
+def _mary_tree_digest(seed: int) -> str:
+    rng = random.Random(seed)
+    tree = random_tree(
+        rng,
+        rng.randint(1, 10),
+        MIXING_SEARCH_VALUES,
+        max_arity=4,
+        tie_bias=MIXING_SEARCH_TIE_BIAS,
+    )
+    texts = [serialize_strategy(best_nash(tree, c).strategy) for c in CRITERIA]
+    return _digest("".join(texts))
+
+
 def golden_digests() -> dict:
     return {
         "hands": {str(s): _hand_digests(s) for s in HAND_SEEDS},
         "trees": {str(s): _tree_digest(s) for s in TREE_SEEDS},
+        "raw_hands": {str(s): _hand_digests(s, binarized=False) for s in HAND_SEEDS},
+        "mary_trees": {str(s): _mary_tree_digest(s) for s in TREE_SEEDS},
     }
 
 

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from nashtree.gametree import (
+    GameTree,
     binarize,
+    check_strategy,
     evaluate,
     is_equilibrium,
     parse_game_tree,
 )
+from nashtree.ohoh import OhohConfig, build_tree, deal
 from nashtree.oracle import enumerate_pure_spe, random_tree, sample_ups_points
 from nashtree.solver import (
     CRITERIA,
@@ -25,6 +28,7 @@ from nashtree.solver import (
 from nashtree.ups import (
     PayoffGrid,
     contains,
+    equal_ups,
     iter_flags,
     singleton_ups,
     ups_from_flags,
@@ -91,13 +95,31 @@ class TestComputeSets:
             smap = compute(demo_tree)
             assert smap.merges == len(demo_tree.internal_ids())
 
-    def test_requires_binary_tree(self):
-        tree = parse_game_tree(
-            "gtree v1\nroot 1\nnode 1 player 1 children 2 3 4\n"
-            "leaf 2 payoff 0 0\nleaf 3 payoff 1 1\nleaf 4 payoff 2 2\n"
+    def test_mary_trees_match_binarized(self):
+        # m-ary nodes fold in binarize's chain order and single-child nodes
+        # pass their set through, so the m-ary tree does the binarized
+        # tree's merges exactly.
+        forced_root = parse_game_tree(
+            "gtree v1\nroot 1\nnode 1 player 2 children 2\n"
+            "node 2 player 1 children 3 4 5\nnode 4 player 2 children 6\n"
+            "leaf 3 payoff 0 2\nleaf 5 payoff 2 0\nleaf 6 payoff 1 1\n"
         )
-        with pytest.raises(ValueError, match="binary"):
-            compute_ups_all(tree)
+        rng = random.Random(61)
+        trees = [forced_root]
+        trees += [
+            random_tree(rng, rng.randint(1, 8), max_arity=4, tie_bias=0.5)
+            for _ in range(40)
+        ]
+        config = OhohConfig(3, "flat")
+        trees += [build_tree(deal(config, seed), config) for seed in range(3)]
+        for tree in trees:
+            binar = binarize(tree)
+            for compute in (compute_ups_all, compute_det_ups_all):
+                got, want = compute(tree), compute(binar)
+                assert equal_ups(got.by_node[tree.root], want.by_node[binar.root])
+                assert got.merges == len(binar.internal_ids())
+                assert got.distinct_merges == want.distinct_merges
+                assert got.flag_ops == want.flag_ops
 
     def test_pure_values_always_contained(self):
         rng = random.Random(31)
@@ -186,6 +208,43 @@ class TestExtractStrategy:
         smap = compute_ups_all(demo_tree)
         strategy = extract_strategy(demo_tree, smap, 2, pv(2, 3))
         assert strategy.choices == {2: ((4, Fraction(1)),)}
+
+    def test_extraction_at_inner_mary_node(self):
+        rng = random.Random(67)
+        config = OhohConfig(3, "flat")
+        trees = [build_tree(deal(config, 0), config)]
+        trees += [
+            random_tree(rng, rng.randint(2, 8), max_arity=4, tie_bias=0.6)
+            for _ in range(30)
+        ]
+        checked = 0
+        for tree in trees:
+            smap = compute_ups_all(tree)
+            inner = [
+                nid for nid in tree.internal_ids()
+                if nid != tree.root and len(tree.nodes[nid].children) >= 3
+            ]
+            for nid in inner[:3]:
+                sub = _subtree(tree, nid)
+                for target in sample_ups_points(smap.by_node[nid], per_element=2, seed=nid):
+                    strategy = extract_strategy(tree, smap, nid, target)
+                    assert strategy.choices.keys() == set(sub.internal_ids())
+                    assert all(p > 0 for e in strategy.choices.values() for _, p in e)
+                    assert check_strategy(sub, strategy) == []
+                    assert is_equilibrium(sub, strategy).ok
+                    assert evaluate(sub, strategy)[nid] == target
+                    checked += 1
+        assert checked > 100
+
+
+def _subtree(tree: GameTree, nid: int) -> GameTree:
+    nodes = {}
+    stack = [nid]
+    while stack:
+        k = stack.pop()
+        nodes[k] = tree.nodes[k]
+        stack.extend(getattr(nodes[k], "children", ()))
+    return GameTree(nid, nodes)
 
 
 class TestBestNash:
