@@ -24,6 +24,8 @@ from .gametree import (
     pure_strategy,
     serialize_game_tree,
     serialize_strategy,
+    tree_sizes,
+    unfold,
     validate,
 )
 from .ups import (
@@ -52,6 +54,7 @@ from .ups import (
 from .solver import (
     CRITERIA,
     AlgebraInconsistencyError,
+    Extraction,
     SetMap,
     SolveResult,
     SolveStats,
@@ -62,6 +65,7 @@ from .solver import (
     compute_det_ups_all,
     compute_ups_all,
     criterion_value,
+    extract,
     extract_strategy,
     select_optimal,
 )
@@ -79,6 +83,7 @@ from .ohoh import (
     Card,
     Deal,
     OhohConfig,
+    build_dag,
     build_tree,
     card_token,
     deal,

@@ -1,10 +1,11 @@
 """Batch study harness: solve many seeded deals and aggregate the results.
 
-For every seed the harness deals a hand, builds and binarizes its tree,
-runs backward induction, computes the full and the deterministic-only
-equilibrium payoff sets, reads off the optimal value per criterion, and
-extracts one optimal strategy for timing. Aggregates are exact ratios of
-counts; only the timing fields vary between runs.
+For every seed the harness deals a hand, builds its game as a DAG that
+stores each distinct subtree once, and on that DAG runs backward
+induction, computes the full and the deterministic-only equilibrium
+payoff sets, reads off the optimal value per criterion, and extracts one
+optimal strategy for timing. Aggregates are exact ratios of counts; only
+the timing fields vary between runs.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gametree import PayoffVector, binarize, evaluate
-from .ohoh import OhohConfig, build_tree, deal
+from .gametree import PayoffVector, evaluate, tree_sizes
+from .ohoh import OhohConfig, build_dag, deal
 from .rationals import format_rational
 from .solver import (
     CRITERIA,
@@ -25,7 +26,7 @@ from .solver import (
     compute_det_ups_all,
     compute_ups_all,
     criterion_value,
-    extract_strategy,
+    extract,
     select_optimal,
 )
 from .ups import is_single_point
@@ -106,38 +107,39 @@ class ExperimentReport:
 
 
 def solve_hand(config: ExperimentConfig, seed: int) -> HandRecord:
-    """Deal, build, binarize, and solve one hand; deterministic given inputs."""
+    """Deal, build, and solve one hand; deterministic given inputs."""
     ohoh_config = OhohConfig(config.cards, config.miss_penalty)
     t0 = time.perf_counter()
-    raw = build_tree(deal(ohoh_config, seed), ohoh_config)
-    # The solvers take m-ary trees, but the five walks below visit every
-    # node, and a raw 4-card tree has about twice the binarized nodes
-    # (hand 0: 23,386 against 11,519), so binarizing once is faster here.
-    work = binarize(raw)
+    # The solvers take m-ary and one-child nodes as they are, and every walk
+    # below visits each distinct subtree once: a 4-card hand has about 15k
+    # tree nodes but a few hundred distinct ones.
+    game = build_dag(deal(ohoh_config, seed), ohoh_config)
     t1 = time.perf_counter()
-    any_result = any_nash(work)
+    any_result = any_nash(game)
     t2 = time.perf_counter()
-    set_map = compute_ups_all(work)
-    root = set_map.by_node[work.root]
+    set_map = compute_ups_all(game)
+    root = set_map.by_node[game.root]
     best_values = {c: select_optimal(root, c) for c in config.criteria}
     # The welfare column always exists: the gap aggregate and the extraction
     # target below need it even under a trimmed criteria list.
     best_values.setdefault("social", select_optimal(root, "social"))
     t3 = time.perf_counter()
-    det_map = compute_det_ups_all(work)
-    det_social = select_optimal(det_map.by_node[work.root], "social")
+    det_map = compute_det_ups_all(game)
+    det_social = select_optimal(det_map.by_node[game.root], "social")
     t4 = time.perf_counter()
     # One real extraction per hand keeps the timing honest and re-verifies
-    # that the selected optimum is actually attained.
+    # that the selected optimum is actually attained. A shared node may be
+    # asked for two targets, so the check runs on the game split by target.
     social_target = best_values["social"]
-    strategy = extract_strategy(work, set_map, work.root, social_target)
-    if evaluate(work, strategy)[work.root] != social_target:
+    found = extract(game, set_map, game.root, social_target)
+    if evaluate(found.game, found.strategy)[found.game.root] != social_target:
         raise AssertionError(f"extraction value mismatch on seed {seed}")
     t5 = time.perf_counter()
+    tree_nodes, solved_nodes = tree_sizes(game)
     return HandRecord(
         seed=seed,
-        tree_nodes=len(raw.nodes),
-        solved_nodes=len(work.nodes),
+        tree_nodes=tree_nodes,
+        solved_nodes=solved_nodes,
         n1=set_map.grid.n1,
         n2=set_map.grid.n2,
         any_value=any_result.value,

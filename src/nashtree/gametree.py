@@ -2,10 +2,12 @@
 
 A tree is a rooted structure whose internal nodes are controlled by
 player 1 or player 2 and whose leaves carry one exact payoff per player.
+A game DAG is the same structure with equal subtrees stored once, so a
+node may have several parents; it stands for the tree it unfolds to.
 This module owns the data model, the `.gtree` and strategy text formats,
-structural validation, binarization to two-child form, expected-value
-computation for (possibly stochastic) strategies, and the local-optimality
-check that defines a subgame perfect equilibrium.
+structural validation, binarization to two-child form, unfolding,
+expected-value computation for (possibly stochastic) strategies, and the
+local-optimality check that defines a subgame perfect equilibrium.
 
 All arithmetic is done with `fractions.Fraction`; ties between payoffs
 are meaningful and must be exact, so no floating point is used anywhere.
@@ -75,7 +77,8 @@ class GameTree:
     """An indexed node collection plus a designated root id.
 
     Node ids are positive integers. Child order is significant: the first
-    child is the "left" one everywhere (binarization, tie-breaking).
+    child is the "left" one everywhere (binarization, tie-breaking). Nodes
+    may share children (a game DAG); parsing and validate() require a tree.
     """
 
     root: int
@@ -83,22 +86,29 @@ class GameTree:
 
     @cached_property
     def _post_order(self) -> tuple[int, ...]:
-        # A preorder that takes children last to first, reversed, is the
-        # post-order that takes them first to last.
+        # On a tree, a preorder that takes children last to first, reversed,
+        # is the post-order that takes them first to last. A shared node
+        # makes the walk longer than the node count; it then stops, and the
+        # DAG gets a depth-first walk that emits each node once.
         nodes = self.nodes
         order: list[int] = []
         stack = [self.root]
-        while stack:
+        for _ in range(len(nodes)):
+            if not stack:
+                break
             nid = stack.pop()
             order.append(nid)
             node = nodes[nid]
             if isinstance(node, Internal):
                 stack.extend(node.children)
+        if stack:
+            return _dag_post_order(nodes, self.root)
         order.reverse()
         return tuple(order)
 
     def post_order(self) -> Iterator[int]:
-        """Yield node ids children-first; requires a validated tree."""
+        """Yield each node id reachable from the root once, children first
+        (first to last); requires a tree or a DAG (no cycles)."""
         return iter(self._post_order)
 
     def internal_ids(self) -> list[int]:
@@ -124,6 +134,25 @@ class GameTree:
             else:
                 depths[nid] = 1 + max(depths[c] for c in node.children)
         return depths[self.root]
+
+
+def _dag_post_order(nodes: dict[int, Node], root: int) -> tuple[int, ...]:
+    order: list[int] = []
+    seen: set[int] = set()
+    stack: list[tuple[int, bool]] = [(root, False)]
+    while stack:
+        nid, expanded = stack.pop()
+        if expanded:
+            order.append(nid)
+        elif nid not in seen:
+            seen.add(nid)
+            node = nodes[nid]
+            if isinstance(node, Internal):
+                stack.append((nid, True))
+                stack.extend((c, False) for c in reversed(node.children))
+            else:
+                order.append(nid)
+    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -440,12 +469,33 @@ def parse_strategy(text: str) -> Strategy:
 
 
 def serialize_strategy(strategy: Strategy) -> str:
-    """Canonical strategy text: nodes ascending, children ascending, zeros dropped."""
+    """Canonical strategy text: nodes ascending, children ascending, zeros dropped.
+
+    Each probability object is formatted once, however many entries share it.
+    """
     out = ["strategy v1"]
-    for nid in sorted(strategy.choices):
-        entries = sorted((c, p) for c, p in strategy.choices[nid] if p != 0)
-        parts = " ".join(f"{c} prob {format_rational(p)}" for c, p in entries)
-        out.append(f"at {nid} choose {parts}")
+    choices = strategy.choices
+    texts: dict[int, str] = {}
+
+    def text(p: Fraction) -> str:
+        t = texts.get(id(p))
+        if t is None:
+            t = texts[id(p)] = format_rational(p)
+        return t
+
+    for nid in sorted(choices):
+        entries = choices[nid]
+        if len(entries) == 1:
+            child, p = entries[0]
+            t = text(p)
+            out.append(f"at {nid} choose {child} prob {t}" if t != "0" else f"at {nid} choose ")
+            continue
+        parts = []
+        for child, p in sorted(entries):
+            t = text(p)
+            if t != "0":
+                parts.append(f"{child} prob {t}")
+        out.append(f"at {nid} choose " + " ".join(parts))
     return "\n".join(out) + "\n"
 
 
@@ -522,6 +572,59 @@ def binarize(tree: GameTree) -> GameTree:
     return GameTree(resolve(tree.root), new_nodes)
 
 
+# -- unfolding ------------------------------------------------------------------
+
+
+def _unfolded_sizes(game: GameTree, binarized: bool) -> dict[int, int]:
+    """Per node, the node count of the tree it unfolds to, or with
+    `binarized` of that tree binarized: there an m-ary node counts m - 1,
+    so a one-child node, which binarize() splices out, counts nothing."""
+    nodes = game.nodes
+    sizes: dict[int, int] = {}
+    for nid in game.post_order():
+        node = nodes[nid]
+        if isinstance(node, Leaf):
+            sizes[nid] = 1
+        else:
+            own = len(node.children) - 1 if binarized else 1
+            sizes[nid] = own + sum(sizes[c] for c in node.children)
+    return sizes
+
+
+def tree_sizes(game: GameTree) -> tuple[int, int]:
+    """`len(tree.nodes)` and `len(binarize(tree).nodes)` of the tree that a
+    game (a tree or a DAG) unfolds to, counted over its distinct nodes."""
+    root = game.root
+    return _unfolded_sizes(game, False)[root], _unfolded_sizes(game, True)[root]
+
+
+def unfold(game: GameTree) -> GameTree:
+    """The tree a game DAG stands for: one node per path from the root.
+
+    Ids run 1, 2, ... in preorder, children first to last; leaves keep the
+    game's Leaf objects.
+    """
+    nodes = game.nodes
+    sizes = _unfolded_sizes(game, False)
+    out: dict[int, Node] = {}
+    stack = [(game.root, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        source, nid = pop()
+        node = nodes[source]
+        if isinstance(node, Leaf):
+            out[nid] = node
+            continue
+        kids = []
+        nxt = nid + 1
+        for child in node.children:
+            kids.append(nxt)
+            push((child, nxt))
+            nxt += sizes[child]
+        out[nid] = Internal(node.controller, tuple(kids))
+    return GameTree(1, out)
+
+
 # -- strategy value and equilibrium check -------------------------------------
 
 
@@ -580,12 +683,17 @@ def is_equilibrium(tree: GameTree, strategy: Strategy) -> EquilibriumCheck:
     """
     values = evaluate(tree, strategy)
     value = values[tree.root]
+    nodes = tree.nodes
     for nid in tree.post_order():
-        node = tree.nodes[nid]
+        node = nodes[nid]
         if isinstance(node, Leaf):
             continue
-        own = values[nid].component(node.controller)
+        x = node.controller
+        mine = values[nid]
+        own = mine.p1 if x == 1 else mine.p2
         for child in node.children:
-            if values[child].component(node.controller) > own:
+            v = values[child]
+            # The child whose value object is the node's own cannot beat it.
+            if v is not mine and (v.p1 if x == 1 else v.p2) > own:
                 return EquilibriumCheck(False, nid, value)
     return EquilibriumCheck(True, None, value)

@@ -18,13 +18,12 @@ Deals are a deterministic function of (config, seed): a Mersenne Twister
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .gametree import GameTree, GtreeParseError, Internal, Leaf, PayoffVector
+from .gametree import GameTree, GtreeParseError, Internal, Leaf, PayoffVector, unfold
 
 SUITS = "CDHS"
 RANKS = range(2, 15)  # 14 is the ace; deuce is lowest
@@ -121,80 +120,91 @@ def score(contract: int, tricks_won: int, mode: str = "mirror") -> int:
     raise ValueError(f"miss penalty must be one of {MISS_PENALTY_MODES}")
 
 
-def build_tree(deal_: Deal, config: OhohConfig) -> GameTree:
-    """The full game tree of a deal.
+def build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
+    """The game of a deal as a DAG that stores each distinct subtree once.
 
     Player 1 picks a contract (k+1 children), player 2 picks any contract
     whose sum with it differs from k, then 2k card plays alternate between
     the current button and the opponent. Forced plays (a single legal
     card) still get a node, so every root-to-leaf path has 2 + 2k
     decisions; the solvers pass those forced moves straight through.
-    Node ids are assigned in preorder; children are ordered by ascending
-    contract and by (suit C<D<H<S, then rank) for cards.
+    Children are ordered by ascending contract and by (suit C<D<H<S, then
+    rank) for cards.
+
+    The play from a trick's lead on depends only on the button, both
+    remaining hands and the payoffs the remaining tricks can still
+    produce, listed by how many of them player 1 takes; each such state is
+    built once, whatever the contracts and tricks that led to it. Nodes
+    are interned, internal ones by (controller, children) and leaves by
+    payoff, so equal subtrees are one node. Ids are given as nodes are
+    made, children first; every node is reachable from the root.
     """
     k = config.cards_per_player
     if len(deal_.hand1) != k or len(deal_.hand2) != k:
         raise ValueError("deal does not match the configured hand size")
     trump = deal_.trump
     mode = config.miss_penalty
-    nodes: dict[int, Internal | Leaf] = {}
-    counter = itertools.count(1)
-    payoff_cache: dict[tuple[int, int], PayoffVector] = {}
+    ids: dict[Internal | Leaf, int] = {}
+    states: dict[tuple, int] = {}
 
-    def leaf(contract1: int, contract2: int, tricks1: int) -> int:
-        s1 = score(contract1, tricks1, mode)
-        s2 = score(contract2, k - tricks1, mode)
-        payoff = payoff_cache.get((s1, s2))
-        if payoff is None:
-            payoff = PayoffVector(Fraction(s1), Fraction(s2))
-            payoff_cache[(s1, s2)] = payoff
-        nid = next(counter)
-        nodes[nid] = Leaf(payoff)
-        return nid
+    def intern(node: Internal | Leaf) -> int:
+        return ids.setdefault(node, len(ids) + 1)
 
-    def lead(c1: int, c2: int, button: int, hands: tuple, tricks1: int) -> int:
+    def lead(button: int, hands: tuple, outcomes: tuple) -> int:
+        """The node where `button` leads a trick, its replies below it;
+        `outcomes[w]` is the payoff pair if player 1 takes w of the tricks
+        still to play. A reply's state (the lead's, less the led card, plus
+        that card) follows from its lead's, so only leads are memoised."""
+        state = (button, hands, outcomes)
+        nid = states.get(state)
+        if nid is not None:
+            return nid
         hand = hands[button - 1]
         if not hand:
-            return leaf(c1, c2, tricks1)
-        nid = next(counter)
-        children = []
-        for card in hand:
-            rest = tuple(c for c in hand if c != card)
-            rest_hands = (rest, hands[1]) if button == 1 else (hands[0], rest)
-            children.append(reply(c1, c2, button, card, rest_hands, tricks1))
-        nodes[nid] = Internal(button, tuple(children))
+            s1, s2 = outcomes[0]
+            nid = states[state] = intern(Leaf(PayoffVector(Fraction(s1), Fraction(s2))))
+            return nid
+        other = 3 - button
+        other_hand = hands[other - 1]
+        replies = []
+        for i, led in enumerate(hand):
+            rest = hand[:i] + hand[i + 1:]
+            answers = []
+            for card in legal_cards(other_hand, led.suit):
+                j = other_hand.index(card)
+                other_rest = other_hand[:j] + other_hand[j + 1:]
+                winner = button if trick_winner(led, card, trump) else other
+                answers.append(lead(
+                    winner,
+                    (rest, other_rest) if button == 1 else (other_rest, rest),
+                    outcomes[1:] if winner == 1 else outcomes[:-1],
+                ))
+            replies.append(intern(Internal(other, tuple(answers))))
+        nid = states[state] = intern(Internal(button, tuple(replies)))
         return nid
 
-    def reply(
-        c1: int, c2: int, button: int, led: Card, hands: tuple, tricks1: int
-    ) -> int:
-        opponent = 3 - button
-        hand = hands[opponent - 1]
-        nid = next(counter)
-        children = []
-        for card in legal_cards(hand, led.suit):
-            rest = tuple(c for c in hand if c != card)
-            rest_hands = (rest, hands[1]) if opponent == 1 else (hands[0], rest)
-            winner = button if trick_winner(led, card, trump) else opponent
-            children.append(
-                lead(c1, c2, winner, rest_hands, tricks1 + (1 if winner == 1 else 0))
-            )
-        nodes[nid] = Internal(opponent, tuple(children))
-        return nid
-
-    root = next(counter)
+    hands = (deal_.hand1, deal_.hand2)
     contract1_children = []
     for c1 in range(k + 1):
-        bid2 = next(counter)
-        bid2_children = [
-            lead(c1, c2, 1, (deal_.hand1, deal_.hand2), 0)
-            for c2 in range(k + 1)
-            if c1 + c2 != k
-        ]
-        nodes[bid2] = Internal(2, tuple(bid2_children))
-        contract1_children.append(bid2)
-    nodes[root] = Internal(1, tuple(contract1_children))
-    return GameTree(root, nodes)
+        bid2_children = []
+        for c2 in range(k + 1):
+            if c1 + c2 != k:
+                outcomes = tuple(
+                    (score(c1, w, mode), score(c2, k - w, mode)) for w in range(k + 1)
+                )
+                bid2_children.append(lead(1, hands, outcomes))
+        contract1_children.append(intern(Internal(2, tuple(bid2_children))))
+    root = intern(Internal(1, tuple(contract1_children)))
+    return GameTree(root, {nid: node for node, nid in ids.items()})
+
+
+def build_tree(deal_: Deal, config: OhohConfig) -> GameTree:
+    """The full game tree of a deal: `build_dag`'s game unfolded.
+
+    Node ids are assigned in preorder from 1 at the root; leaves with
+    equal payoffs share one Leaf object.
+    """
+    return unfold(build_dag(deal_, config))
 
 
 # -- deal text format -----------------------------------------------------------

@@ -14,9 +14,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .gametree import GameTree, Leaf, PayoffVector, Strategy
+from .gametree import GameTree, Internal, Leaf, Node, PayoffVector, Strategy
 from .ups import (
     PayoffGrid,
     Ups,
@@ -65,8 +65,10 @@ def criterion_value(criterion: str, v: PayoffVector) -> Fraction:
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work and time of one solve; the counters are those of its `SetMap`,
-    and `nodes` counts the tree as given, which is solved in place."""
+    """Work and time of one solve; the counters are those of its `SetMap`
+    (on a game DAG, `merges` sums m - 1 over the distinct internal nodes),
+    and `nodes` counts the tree or the DAG's distinct nodes as given,
+    which are solved in place."""
 
     nodes: int
     merges: int = 0
@@ -87,12 +89,14 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SetMap:
-    """Per-node equilibrium payoff sets of a game tree, on a shared grid.
+    """Per-node equilibrium payoff sets of a game tree or DAG, on a shared grid.
 
-    Equal sets are one shared object. `merges` counts binary merges (m - 1
-    per m-ary node: the internal nodes of `binarize(tree)`); `merged` maps
-    each distinct (controller, left set id, right set id) to its merge,
-    `distinct_merges` counts those, and `flag_ops` is their flag work.
+    Equal sets are one shared object. `merges` counts binary merges, m - 1
+    per m-ary node: on a tree, the internal nodes of `binarize(tree)`; on
+    a game DAG, the sum of m - 1 over its distinct internal nodes, since
+    each is folded once. `merged` maps each distinct (controller, left set
+    id, right set id) to its merge, `distinct_merges` counts those, and
+    `flag_ops` is their flag work.
     """
 
     grid: PayoffGrid
@@ -270,11 +274,44 @@ def _point_on_axis(x: int, v: Fraction, other: Fraction) -> PayoffVector:
 _LEFT, _RIGHT = "left", "right"
 
 
+class Extraction(NamedTuple):
+    """A strategy attaining a target, on the game split by target.
+
+    Extraction asks every node for a target payoff. In a game DAG a shared
+    node can be asked for two; the later (node, target) pair then becomes
+    a copy of the node with a fresh id above the game's, and its parent
+    points to the copy. `game` is the split game (the given game itself
+    when nothing was split), `strategy` is keyed by its ids, and `origin`
+    maps each copy's id to the node it copies. The split game unfolds to
+    the same tree as the game, so evaluate() and is_equilibrium() check
+    the strategy on it directly.
+    """
+
+    game: GameTree
+    strategy: Strategy
+    origin: dict[int, int]
+
+
 def extract_strategy(
     tree: GameTree, set_map: SetMap, node: int, target: PayoffVector
 ) -> Strategy:
     """A strategy for the subtree at `node` whose value there is exactly
-    `target` and which is locally optimal everywhere in the subtree.
+    `target` and which is locally optimal everywhere in the subtree; see
+    `extract`. Raises ValueError on a DAG whose extraction asks a shared
+    node for two targets: no strategy keyed by node attains the target."""
+    found = extract(tree, set_map, node, target)
+    if found.origin:
+        copy, nid = next(iter(found.origin.items()))
+        raise ValueError(
+            f"node {nid} is asked for two targets; extract() splits it (copy {copy})"
+        )
+    return found.strategy
+
+
+def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) -> Extraction:
+    """A strategy for the subtree at `node` whose value there is exactly
+    `target` and which is locally optimal everywhere in the subtree, on
+    the game split by target (see `Extraction`).
 
     Walk top-down, each node as the chain of links its set was folded
     from: link k chooses between child k and the merged set of the later
@@ -286,9 +323,9 @@ def extract_strategy(
     sides with the two endpoint payoffs. A child is played with the
     probability of reaching its link and going left; zeros are left out.
 
+    Each (node, target) pair is visited once; on a tree each node has one.
     A link's decision depends only on (controller, left set, right set,
-    target), so it is made once per distinct tuple and reused; every
-    internal node still gets its own `choices` entry.
+    target), so it is made once per distinct tuple and reused.
     """
     by_node = set_map.by_node
     if not contains(by_node[node], target):
@@ -310,11 +347,31 @@ def extract_strategy(
             point = floors[key] = min_point(u, x)
         return point
 
+    # The first target each node is asked for; a node asked again for
+    # another value is copied, once per (node, value).
+    asked: dict[int, PayoffVector] = {node: target}
+    copy_of: dict[tuple[int, PayoffVector], int] = {}
+    origin: dict[int, int] = {}
+    moved: dict[int, list[tuple[int, int]]] = {}  # (position, copy id) per parent
+    copies: dict[int, Node] = {}  # split-game nodes that differ from the game's
+    last_id = 0  # the id of the latest copy, once there is one
+
+    def split(parent: int, position: int, child: int, want: PayoffVector) -> int:
+        nonlocal last_id
+        key = (child, want)
+        cid = copy_of.get(key)
+        if cid is None:
+            last_id = cid = copy_of[key] = (last_id or max(nodes)) + 1
+            origin[cid] = child
+            push((cid, child, want))
+        moved.setdefault(parent, []).append((position, cid))
+        return cid
+
     choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
-    stack: list[tuple[int, PayoffVector]] = [(node, target)]
+    stack: list[tuple[int, int, PayoffVector]] = [(node, node, target)]
     push = stack.append
     while stack:
-        nid, want = stack.pop()
+        gid, nid, want = stack.pop()
         tnode = nodes[nid]
         if isinstance(tnode, Leaf):
             paid = (id(tnode.payoff), id(want))
@@ -324,6 +381,8 @@ def extract_strategy(
                         f"leaf {nid} pays {tnode.payoff}, extraction wanted {want}"
                     )
                 leaves_paid.add(paid)
+            if gid != nid:
+                copies[gid] = tnode
             continue
         x, kids = tnode.controller, tnode.children
         last = len(kids) - 1
@@ -351,15 +410,36 @@ def extract_strategy(
             if rights:
                 ur = rights.pop()
             _, probs, want_left, want = step
-            push((child, want_left))
+            first = asked.get(child)
+            if first is None:
+                asked[child] = want_left
+                push((child, child, want_left))
+            elif first is not want_left and first != want_left:
+                child = split(gid, k - 1, child, want_left)
             if reach is not None and probs is not _RIGHT:
                 entries += ((child, reach if probs is _LEFT else reach * probs[0]),)
                 reach = None if probs is _LEFT else reach * probs[1]
-        push((kids[last], want))
+        child = kids[last]
+        first = asked.get(child)
+        if first is None:
+            asked[child] = want
+            push((child, child, want))
+        elif first is not want and first != want:
+            child = split(gid, last, child, want)
         if reach is not None:
-            entries += ((kids[last], reach),)
-        choices[nid] = entries
-    return Strategy(choices)
+            entries += ((child, reach),)
+        choices[gid] = entries
+        if gid != nid or gid in moved:
+            ids = list(kids)
+            for k, cid in moved.get(gid, ()):
+                ids[k] = cid
+            copies[gid] = Internal(x, tuple(ids))
+    if not origin:
+        game = tree if node == tree.root else GameTree(node, nodes)
+        return Extraction(game, Strategy(choices), origin)
+    split = {nid: copies.get(nid, nodes[nid]) for nid in asked}
+    split.update((cid, copies[cid]) for cid in origin)
+    return Extraction(GameTree(node, split), Strategy(choices), origin)
 
 
 def _extraction_step(grid, floor, x, ul, ur, want, nid, at_start):
@@ -424,7 +504,9 @@ def best_nash(tree: GameTree, criterion: str) -> SolveResult:
     """Optimal equilibrium under `criterion`, solved on the tree as given.
 
     The strategy may mix at any node; an m-ary node's distribution lists
-    only the children it plays with positive probability.
+    only the children it plays with positive probability. On a game DAG
+    whose extraction asks a shared node for two targets, this raises
+    ValueError, as extract_strategy does; `extract` splits such nodes.
     """
     return _solve(tree, criterion, deterministic=False)
 

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
-from nashtree.gametree import PayoffVector
+from nashtree.experiment import ExperimentConfig, HandRecord
+from nashtree.gametree import GameTree, Internal, Leaf, Node, PayoffVector, binarize, evaluate
+from nashtree.ohoh import OhohConfig, build_tree, deal
+from nashtree.solver import (
+    any_nash,
+    compute_det_ups_all,
+    compute_ups_all,
+    extract_strategy,
+    select_optimal,
+)
 from nashtree.ups import (
     FLAG_KINDS,
     PayoffGrid,
     Ups,
     _flag_dims,
+    is_single_point,
     iter_flags,
     saturate,
     ups_from_flags,
@@ -17,6 +28,43 @@ from nashtree.ups import (
 
 def pv(a, b) -> PayoffVector:
     return PayoffVector(Fraction(a), Fraction(b))
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def random_mary_tree(rng: random.Random) -> GameTree:
+    """A valid m-ary tree: random recursive shape, shuffled gappy ids.
+
+    Random recursive trees have many one-child nodes, so arity-1 chains
+    are common; payoffs come from a 3 x 3 grid, so equal subtrees are too.
+    """
+    size = rng.randint(1, 30)
+    parent = [None] + [rng.randrange(i) for i in range(1, size)]
+    ids = rng.sample(range(1, 3 * size + 1), size)
+    kids: list[list[int]] = [[] for _ in range(size)]
+    for i in range(1, size):
+        kids[parent[i]].append(ids[i])
+    nodes = {
+        ids[i]: Internal(rng.randint(1, 2), tuple(kids[i]))
+        if kids[i]
+        else Leaf(pv(rng.randrange(3), rng.randrange(3)))
+        for i in range(size)
+    }
+    return GameTree(ids[0], nodes)
+
+
+def share(tree: GameTree) -> GameTree:
+    """The tree as a game DAG: equal subtrees become one node (hash-consing)."""
+    ids: dict[Node, int] = {}
+    dag_id: dict[int, int] = {}
+    for nid in tree.post_order():
+        node = tree.nodes[nid]
+        if isinstance(node, Internal):
+            node = Internal(node.controller, tuple(dag_id[c] for c in node.children))
+        dag_id[nid] = ids.setdefault(node, len(ids) + 1)
+    return GameTree(dag_id[tree.root], {i: node for node, i in ids.items()})
 
 
 def random_grid(rng: random.Random, max_side: int = 6, value_range: int = 12) -> PayoffGrid:
@@ -82,4 +130,32 @@ def transpose(a: Ups) -> Ups:
     return ups_from_flags(
         PayoffGrid(grid.u2, grid.u1),
         [(swapped[kind], j, i) for kind, i, j in iter_flags(a)],
+    )
+
+
+def reference_hand_record(config: ExperimentConfig, seed: int) -> HandRecord:
+    """One study hand solved on the binarized tree, the way the study did
+    before it solved game DAGs; `timings_ms` is left empty."""
+    ohoh_config = OhohConfig(config.cards, config.miss_penalty)
+    raw = build_tree(deal(ohoh_config, seed), ohoh_config)
+    work = binarize(raw)
+    set_map = compute_ups_all(work)
+    root = set_map.by_node[work.root]
+    best_values = {c: select_optimal(root, c) for c in config.criteria}
+    best_values.setdefault("social", select_optimal(root, "social"))
+    det_map = compute_det_ups_all(work)
+    social_target = best_values["social"]
+    strategy = extract_strategy(work, set_map, work.root, social_target)
+    assert evaluate(work, strategy)[work.root] == social_target
+    return HandRecord(
+        seed=seed,
+        tree_nodes=len(raw.nodes),
+        solved_nodes=len(work.nodes),
+        n1=set_map.grid.n1,
+        n2=set_map.grid.n2,
+        any_value=any_nash(work).value,
+        best_values=best_values,
+        det_social_value=select_optimal(det_map.by_node[work.root], "social"),
+        multiple_equilibria=not is_single_point(root),
+        timings_ms={},
     )

@@ -1,3 +1,12 @@
+"""The study harness: reports, aggregates, job pools and report goldens.
+
+`report_digests.json` holds digests of whole experiment reports with every
+timing value zeroed (the timing keys stay). Re-record it (only when a
+report change is intended and explained) with
+``PYTHONPATH=src python -m tests.test_experiment``.
+"""
+
+import dataclasses
 import json
 from concurrent.futures import Future
 from fractions import Fraction
@@ -13,6 +22,17 @@ from nashtree.experiment import (
     solve_hand,
 )
 from nashtree.solver import criterion_value
+
+from .conftest import DATA
+from .helpers import digest, reference_hand_record
+
+GOLDEN = DATA / "report_digests.json"
+# (cards, miss penalty, hands) of each recorded study; seeds start at 0.
+GOLDEN_STUDIES = (
+    *((cards, penalty, 40) for cards in (1, 2, 3) for penalty in ("flat", "mirror")),
+    (4, "flat", 48),
+    (4, "mirror", 20),
+)
 
 
 def _strip_timings(doc: dict) -> dict:
@@ -172,3 +192,47 @@ class TestReportJson:
         aggregate = doc["aggregates"]["multiple_equilibria"]
         assert isinstance(aggregate, str)
         assert set(doc["aggregates"]["improved"]) == set(config.criteria)
+
+
+def _report_digest(report) -> str:
+    doc = json.loads(report_to_json(report))
+    for record in doc["per_hand"]:
+        record["timings_ms"] = dict.fromkeys(record["timings_ms"], 0)
+    doc["aggregates"]["runtime_ms"] = dict.fromkeys(doc["aggregates"]["runtime_ms"], 0)
+    return digest(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def report_digests() -> dict[str, str]:
+    return {
+        f"{cards}-{penalty}-{hands}": _report_digest(
+            run_experiment(ExperimentConfig(cards=cards, hands=hands, miss_penalty=penalty))
+        )
+        for cards, penalty, hands in GOLDEN_STUDIES
+    }
+
+
+def test_reports_match_golden():
+    assert report_digests() == json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize(
+    "cards, penalty, seeds",
+    [
+        (1, "flat", range(10)),
+        (2, "mirror", range(10)),
+        (3, "flat", range(10)),
+        (3, "mirror", range(10)),
+        (4, "flat", (0, 66, 110, 360)),
+        (4, "mirror", (0, 5)),
+    ],
+)
+def test_records_match_binarized_reference(cards, penalty, seeds):
+    config = ExperimentConfig(cards=cards, hands=1, miss_penalty=penalty)
+    for seed in seeds:
+        record = dataclasses.replace(solve_hand(config, seed), timings_ms={})
+        assert record == reference_hand_record(config, seed), seed
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(report_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}")

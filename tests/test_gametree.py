@@ -369,6 +369,31 @@ class TestIsEquilibrium:
                 tree, strategy
             )
 
+    def test_witness_is_the_first_violation_in_post_order(self):
+        rng = random.Random(29)
+        witnessed = 0
+        for _ in range(200):
+            tree = random_tree(rng, rng.randint(1, 12), max_arity=4)
+            strategy = _random_strategy(rng, tree)
+            values = evaluate(tree, strategy)
+            expected = next(
+                (
+                    nid
+                    for nid in tree.internal_ids()
+                    if any(
+                        values[c].component(tree.nodes[nid].controller)
+                        > values[nid].component(tree.nodes[nid].controller)
+                        for c in tree.nodes[nid].children
+                    )
+                ),
+                None,
+            )
+            check = is_equilibrium(tree, strategy)
+            assert (check.ok, check.witness) == (expected is None, expected)
+            assert check.value == values[tree.root]
+            witnessed += expected is not None
+        assert 50 < witnessed < 200
+
 
 class TestStrategyFormat:
     def test_round_trip(self):
@@ -387,6 +412,25 @@ class TestStrategyFormat:
     def test_children_sorted_on_output(self):
         strategy = Strategy({1: ((5, HALF), (2, HALF))})
         assert "choose 2 prob 1/2 5 prob 1/2" in serialize_strategy(strategy)
+
+    def test_matches_entry_by_entry_formatting(self):
+        # Shared and equal-but-distinct probability objects, single zero
+        # entries and unsorted children, against a line-by-line rendering.
+        rng = random.Random(31)
+        pool = [Fraction(0), Fraction(1), HALF, Fraction(2, 3), Fraction(-1, 4)]
+        choices = {}
+        for nid in rng.sample(range(1, 400), 200):
+            kids = rng.sample(range(1, 50), rng.choice([1, 1, 2, 3]))
+            choices[nid] = tuple(
+                (c, rng.choice(pool) if rng.random() < 0.7 else Fraction(rng.randint(0, 3), 3))
+                for c in kids
+            )
+        expected = ["strategy v1"] + [
+            f"at {nid} choose "
+            + " ".join(f"{c} prob {p}" for c, p in sorted(choices[nid]) if p != 0)
+            for nid in sorted(choices)
+        ]
+        assert serialize_strategy(Strategy(choices)) == "\n".join(expected) + "\n"
 
     def test_duplicate_at_rejected(self):
         text = "strategy v1\nat 1 choose 2 prob 1\nat 1 choose 3 prob 1\n"

@@ -1,9 +1,24 @@
+"""Deals, card rules and game trees of open-handed Oh Hell.
+
+`build_tree_digests.json` holds digests of the `.gtree` text of generated
+trees. Re-record it (only when a tree change is intended and explained)
+with ``PYTHONPATH=src python -m tests.test_ohoh``.
+"""
+
+import json
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from nashtree.gametree import GtreeParseError, Internal, Leaf, binarize, validate
+from nashtree.gametree import (
+    GtreeParseError,
+    Internal,
+    Leaf,
+    binarize,
+    serialize_game_tree,
+    validate,
+)
 from nashtree.ohoh import (
     Card,
     OhohConfig,
@@ -19,7 +34,13 @@ from nashtree.ohoh import (
 )
 from nashtree.ups import build_grid
 
+from .conftest import DATA
+from .helpers import digest
+
 CFG4 = OhohConfig(4, "flat")
+BUILD_GOLDEN = DATA / "build_tree_digests.json"
+# Hand seeds per hand size whose trees are pinned, under both scorings.
+BUILD_SEEDS = {1: range(10), 2: range(10), 3: range(10), 4: range(6), 5: range(1)}
 
 # Golden deal pinning the RNG (Mersenne Twister, randrange trump, partial
 # Fisher-Yates draw); regenerating it differently is a breaking change.
@@ -199,3 +220,23 @@ class TestBuildTree:
         cfg = OhohConfig(4, "mirror")
         grid = build_grid(build_tree(deal(cfg, 66), cfg))
         assert Fraction(-14) in grid.u1 or Fraction(-13) in grid.u1
+
+
+def build_tree_digests() -> dict[str, str]:
+    out = {}
+    for cards, seeds in BUILD_SEEDS.items():
+        for mode in ("flat", "mirror"):
+            cfg = OhohConfig(cards, mode)
+            for seed in seeds:
+                text = serialize_game_tree(build_tree(deal(cfg, seed), cfg))
+                out[f"{cards}-{mode}-{seed}"] = digest(text)
+    return out
+
+
+def test_build_tree_text_matches_golden():
+    assert build_tree_digests() == json.loads(BUILD_GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    BUILD_GOLDEN.write_text(json.dumps(build_tree_digests(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {BUILD_GOLDEN}")

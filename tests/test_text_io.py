@@ -35,7 +35,7 @@ from nashtree.ohoh import OhohConfig, build_tree, deal
 from nashtree.solver import CRITERIA, best_nash
 
 from .conftest import DATA
-from .helpers import pv
+from .helpers import random_mary_tree
 
 GOLDEN = DATA / "parse_errors.json"
 PARSERS = {"gtree": parse_game_tree, "strategy": parse_strategy}
@@ -246,27 +246,6 @@ def test_parse_errors_match_golden():
 # -- linear validation against validate() ---------------------------------------
 
 
-def _random_tree(rng: random.Random) -> GameTree:
-    """A valid m-ary tree: random recursive shape, shuffled gappy ids.
-
-    Random recursive trees have many one-child nodes, so arity-1 chains
-    are common.
-    """
-    size = rng.randint(1, 30)
-    parent = [None] + [rng.randrange(i) for i in range(1, size)]
-    ids = rng.sample(range(1, 3 * size + 1), size)
-    kids: list[list[int]] = [[] for _ in range(size)]
-    for i in range(1, size):
-        kids[parent[i]].append(ids[i])
-    nodes = {
-        ids[i]: Internal(rng.randint(1, 2), tuple(kids[i]))
-        if kids[i]
-        else Leaf(pv(rng.randrange(3), rng.randrange(3)))
-        for i in range(size)
-    }
-    return GameTree(ids[0], nodes)
-
-
 def _unused(tree: GameTree) -> int:
     return max(tree.nodes) + 1
 
@@ -314,7 +293,7 @@ def _root_with_parent(tree, rng):
 
 def _unreachable(tree, rng):
     base = _unused(tree)
-    extra = _random_tree(rng)
+    extra = random_mary_tree(rng)
     shift = {nid: nid + base for nid in extra.nodes}
     nodes = dict(tree.nodes)
     for nid, node in extra.nodes.items():
@@ -360,7 +339,7 @@ def test_linear_check_agrees_with_validate():
     rng = random.Random(8)
     rejected = accepted = 0
     for _ in range(300):
-        tree = _random_tree(rng)
+        tree = random_mary_tree(rng)
         variants = [tree] + [mutate(tree, rng) for mutate in MUTATIONS]
         for _ in range(3):
             mixed = tree
