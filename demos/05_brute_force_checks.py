@@ -1,8 +1,9 @@
 """Cross-checking the solver against brute force on small instances.
 
-The oracle enumerates every pure strategy, re-derives merge results from
-their set definitions with interval geometry, and spot-extracts sampled
-points. None of it shares code with the fast paths it checks.
+The oracle finds every pure equilibrium value subgame by subgame, straight
+from the definition, re-derives merge results from their set definitions
+with interval geometry, and spot-extracts sampled points. None of it
+shares code with the fast paths it checks.
 """
 
 import random
@@ -21,7 +22,7 @@ from nashtree.gametree import Leaf
 rng = random.Random(7)
 tree = random_tree(rng, internal_count=8)
 
-print("== pure equilibria by exhaustive enumeration ==")
+print("== pure equilibria, enumerated subgame by subgame ==")
 for value in sorted(enumerate_pure_spe(tree), key=lambda v: (v.p1, v.p2)):
     print("pure equilibrium value:", value)
 

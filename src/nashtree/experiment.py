@@ -16,6 +16,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .gametree import PayoffVector, evaluate, tree_sizes
 from .ohoh import OhohConfig, build_dag, deal
@@ -38,8 +39,9 @@ class ExperimentConfig:
     hands: int
     seed: int = 0
     miss_penalty: str = "mirror"
-    criteria: tuple[str, ...] = CRITERIA
     jobs: int = 1
+    # Every study scores all criteria; the report lists them.
+    criteria: ClassVar[tuple[str, ...]] = CRITERIA
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,6 @@ def solve_hand(config: ExperimentConfig, seed: int) -> HandRecord:
     set_map = compute_ups_all(game)
     root = set_map.by_node[game.root]
     best_values = {c: select_optimal(root, c) for c in config.criteria}
-    # The welfare column always exists: the gap aggregate and the extraction
-    # target below need it even under a trimmed criteria list.
-    best_values.setdefault("social", select_optimal(root, "social"))
     t3 = time.perf_counter()
     det_map = compute_det_ups_all(game)
     det_social = select_optimal(det_map.by_node[game.root], "social")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .gametree import GameTree, GtreeParseError, Internal, Leaf, PayoffVector, unfold
+from .gametree import GameTree, GtreeParseError, Internal, Leaf, PayoffVector, tree_sizes, unfold
 
 SUITS = "CDHS"
 RANKS = range(2, 15)  # 14 is the ace; deuce is lowest
@@ -198,13 +198,23 @@ def build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
     return GameTree(root, {nid: node for node, nid in ids.items()})
 
 
+# Most nodes `build_tree` unfolds: 5-card hands have up to 1.7M (seeds 0-199),
+# 6-card ones up to 5.6M and 7-card ones 34M or more; their DAGs stay small.
+TREE_NODE_BUDGET = 4_000_000
+
+
 def build_tree(deal_: Deal, config: OhohConfig) -> GameTree:
     """The full game tree of a deal: `build_dag`'s game unfolded.
 
     Node ids are assigned in preorder from 1 at the root; leaves with
-    equal payoffs share one Leaf object.
+    equal payoffs share one Leaf object. Raises ValueError when the tree
+    would have more than TREE_NODE_BUDGET nodes.
     """
-    return unfold(build_dag(deal_, config))
+    dag = build_dag(deal_, config)
+    nodes = tree_sizes(dag)[0]
+    if nodes > TREE_NODE_BUDGET:
+        raise ValueError(f"tree of {nodes} nodes exceeds the budget of {TREE_NODE_BUDGET}")
+    return unfold(dag)
 
 
 # -- deal text format -----------------------------------------------------------

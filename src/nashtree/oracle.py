@@ -1,11 +1,11 @@
 """Brute-force ground truth for small instances.
 
 Everything here is deliberately naive: pure equilibria are found by
-enumerating every pure strategy and checking local optimality from
-scratch, set-algebra results are recomputed from the set definitions by
-exact interval geometry, and points are sampled for membership and
-extraction spot checks. The only solver code these functions touch is the
-code under test.
+applying the equilibrium definition node by node to every combination of
+the children's equilibrium values, set-algebra results are recomputed
+from the set definitions by exact interval geometry, and points are
+sampled for membership and extraction spot checks. The only solver code
+these functions touch is the code under test.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .gametree import (
     Leaf,
     PayoffVector,
     Strategy,
-    evaluate,
     is_equilibrium,
     pure_strategy,
     serialize_game_tree,
@@ -52,40 +51,37 @@ def enumerate_pure_spe(
 ) -> dict[PayoffVector, Strategy]:
     """All root payoffs of pure subgame perfect equilibria, with one witness each.
 
-    Enumerates every pure strategy (the product of child choices over all
-    internal nodes) and keeps those that are locally optimal at every node.
-    Works on any arity. Raises ValueError beyond `cap` strategies.
+    One post-order pass applies the definition node by node: every
+    combination of one equilibrium value per child, with the node choosing
+    any child best for its controller, gives the node an equilibrium value,
+    witnessed by that choice plus the children's witnesses. Works on any
+    arity; needs a tree, not a DAG. Raises ValueError beyond `cap` pure
+    strategies, which bounds the work: a node has no more combinations
+    than its subtree has strategies.
     """
-    order = list(tree.post_order())
-    internals = [nid for nid in order if isinstance(tree.nodes[nid], Internal)]
-    child_lists = [tree.nodes[nid].children for nid in internals]
+    nodes = tree.nodes
     total = 1
-    for kids in child_lists:
-        total *= len(kids)
+    for nid in tree.internal_ids():
+        total *= len(nodes[nid].children)
         if total > cap:
             raise ValueError(f"more than {cap} pure strategies, refusing to enumerate")
-    nodes = tree.nodes
-    found: dict[PayoffVector, Strategy] = {}
-    for combo in itertools.product(*child_lists):
-        choice = dict(zip(internals, combo))
-        values: dict[int, PayoffVector] = {}
-        for nid in order:
-            node = nodes[nid]
-            values[nid] = node.payoff if isinstance(node, Leaf) else values[choice[nid]]
-        ok = True
-        for nid in internals:
-            node = nodes[nid]
-            own = values[nid].component(node.controller)
-            if any(
-                values[c].component(node.controller) > own for c in node.children
-            ):
-                ok = False
-                break
-        if ok:
-            value = values[tree.root]
-            if value not in found:
-                found[value] = pure_strategy(choice)
-    return found
+    # found[nid]: each equilibrium value of the subtree -> one witness's choices
+    found: dict[int, dict[PayoffVector, dict[int, int]]] = {}
+    for nid in tree.post_order():
+        node = nodes[nid]
+        if isinstance(node, Leaf):
+            found[nid] = {node.payoff: {}}
+            continue
+        x = node.controller
+        here = found[nid] = {}
+        for combo in itertools.product(*(found[c].items() for c in node.children)):
+            best = max(v.component(x) for v, _ in combo)
+            for child, (v, _) in zip(node.children, combo):
+                if v not in here and v.component(x) == best:
+                    choice = here[v] = {nid: child}
+                    for _, below in combo:
+                        choice.update(below)
+    return {value: pure_strategy(choice) for value, choice in found[tree.root].items()}
 
 
 # -- point sampling -------------------------------------------------------------
@@ -386,9 +382,8 @@ def _run_checks(tree: GameTree, seed: int, samples: int) -> OracleReport:
             if not check.ok:
                 failures.append((target, f"extracted strategy violates at node {check.witness}"))
                 continue
-            got = evaluate(tree, strat)[tree.root]
-            if got != target:
-                failures.append((target, f"extracted value {got} != target"))
+            if check.value != target:
+                failures.append((target, f"extracted value {check.value} != target"))
         except Exception as exc:  # noqa: BLE001 - failures belong in the report
             failures.append((target, f"{type(exc).__name__}: {exc}"))
     return OracleReport(

@@ -26,9 +26,7 @@ from .ups import (
     build_grid,
     contains,
     cross_section,
-    flag_corner,
     is_empty,
-    iter_flags,
     merge,
     merge_deterministic,
     min_point,
@@ -207,22 +205,23 @@ def select_optimal(root_ups: Ups, criterion: str) -> PayoffVector:
 
     All supported criteria are coordinate-wise nondecreasing, so the
     optimum over every flagged element is attained at its upper-right
-    corner; the scan checks each flagged corner. Ties are broken toward
-    the larger player-1 payoff, then the larger player-2 payoff.
+    corner, and in a saturated set that corner is itself a flagged point;
+    the scan checks the points only. Ties are broken toward the larger
+    player-1 payoff, then the larger player-2 payoff.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}")
     if is_empty(root_ups):
         raise ValueError("cannot select from an empty set")
     grid = root_ups.grid
-    best: PayoffVector | None = None
-    best_key = None
-    for kind, i, j in iter_flags(root_ups):
-        corner = flag_corner(grid, kind, i, j)
-        key = (criterion_value(criterion, corner), corner.p1, corner.p2)
-        if best is None or key > best_key:
-            best, best_key = corner, key
-    return best
+    points = []
+    pts = root_ups.p
+    while pts:
+        low = pts & -pts
+        pts ^= low
+        i, j = divmod(low.bit_length() - 1, grid.n2)
+        points.append(PayoffVector(grid.u1[i], grid.u2[j]))
+    return max(points, key=lambda v: (criterion_value(criterion, v), v.p1, v.p2))
 
 
 def _nearest_geq(pts: int, segs: int, axis, w):

@@ -43,11 +43,11 @@ Instrumentation
 Every grid carries its own `WorkMeter` (`PayoffGrid.work`). The
 operators that build sets (`union`, `saturate`, `merge_random`,
 `merge_ldet`, and `merge`/`merge_deterministic` through them) add their
-work to the meter of their operands' grid: `merges` counts calls of
-`merge` and `merge_deterministic`, and `flag_ops` counts flag operations,
-one per big-int shift, AND, OR, negation or multiply, so callers can
-check that each merge does O(n1 * n2) flag work. Queries (`contains`,
-`min_point`, `cross_section`, flag enumeration) count nothing.
+work to the meter of their operands' grid: `flag_ops` counts flag
+operations, one per big-int shift, AND, OR, negation or multiply, so
+callers can check that each merge does O(n1 * n2) flag work. Queries
+(`contains`, `min_point`, `cross_section`, flag enumeration) count
+nothing.
 
 The solver builds one grid per fold, so these counts belong to that one
 solve, also when solves run in parallel threads. `SetMap.flag_ops` is
@@ -83,7 +83,6 @@ class EmptySetError(ValueError):
 class WorkMeter:
     """Work done by the set operators on one grid (see module docs)."""
 
-    merges: int = 0
     flag_ops: int = 0
 
 
@@ -377,20 +376,16 @@ def merge(a: Ups, b: Ups, x: int) -> Ups:
     payoffs no worse for x than the other child's worst case) or mix
     between x-indifferent payoff pairs.
     """
-    result = union(
+    return union(
         merge_random(a, b, x),
         union(merge_ldet(a, b, x), merge_ldet(b, a, x)),
     )
-    a.grid.work.merges += 1
-    return result
 
 
 def merge_deterministic(a: Ups, b: Ups, x: int) -> Ups:
     """Merge variant that never mixes; on point-only inputs the result is
     again point-only."""
-    result = union(merge_ldet(a, b, x), merge_ldet(b, a, x))
-    a.grid.work.merges += 1
-    return result
+    return union(merge_ldet(a, b, x), merge_ldet(b, a, x))
 
 
 def is_single_point(a: Ups) -> bool:
@@ -470,12 +465,6 @@ def flag_box(grid: PayoffGrid, kind: str, i: int, j: int):
     if kind == "D":
         return u1[i], u1[i + 1], u2[j], u2[j + 1]
     raise ValueError(f"unknown flag kind {kind!r}")
-
-
-def flag_corner(grid: PayoffGrid, kind: str, i: int, j: int) -> PayoffVector:
-    """Upper-right corner of one basis element."""
-    x0, x1, y0, y1 = flag_box(grid, kind, i, j)
-    return PayoffVector(x1, y1)
 
 
 def ups_from_flags(

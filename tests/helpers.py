@@ -1,12 +1,24 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 from nashtree.experiment import ExperimentConfig, HandRecord
-from nashtree.gametree import GameTree, Internal, Leaf, Node, PayoffVector, binarize, evaluate
+from nashtree.gametree import (
+    GameTree,
+    Internal,
+    Leaf,
+    Node,
+    PayoffVector,
+    Strategy,
+    binarize,
+    evaluate,
+    pure_strategy,
+)
 from nashtree.ohoh import OhohConfig, build_tree, deal
+from nashtree.oracle import STRATEGY_CAP
 from nashtree.solver import (
     any_nash,
     compute_det_ups_all,
@@ -159,3 +171,44 @@ def reference_hand_record(config: ExperimentConfig, seed: int) -> HandRecord:
         multiple_equilibria=not is_single_point(root),
         timings_ms={},
     )
+
+
+def reference_pure_spe(
+    tree: GameTree, cap: int = STRATEGY_CAP
+) -> dict[PayoffVector, Strategy]:
+    """All root payoffs of pure subgame perfect equilibria, with one witness each.
+
+    Enumerates every pure strategy (the product of child choices over all
+    internal nodes) and keeps those that are locally optimal at every node.
+    Works on any arity. Raises ValueError beyond `cap` strategies.
+    """
+    order = list(tree.post_order())
+    internals = [nid for nid in order if isinstance(tree.nodes[nid], Internal)]
+    child_lists = [tree.nodes[nid].children for nid in internals]
+    total = 1
+    for kids in child_lists:
+        total *= len(kids)
+        if total > cap:
+            raise ValueError(f"more than {cap} pure strategies, refusing to enumerate")
+    nodes = tree.nodes
+    found: dict[PayoffVector, Strategy] = {}
+    for combo in itertools.product(*child_lists):
+        choice = dict(zip(internals, combo))
+        values: dict[int, PayoffVector] = {}
+        for nid in order:
+            node = nodes[nid]
+            values[nid] = node.payoff if isinstance(node, Leaf) else values[choice[nid]]
+        ok = True
+        for nid in internals:
+            node = nodes[nid]
+            own = values[nid].component(node.controller)
+            if any(
+                values[c].component(node.controller) > own for c in node.children
+            ):
+                ok = False
+                break
+        if ok:
+            value = values[tree.root]
+            if value not in found:
+                found[value] = pure_strategy(choice)
+    return found

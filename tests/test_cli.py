@@ -1,12 +1,13 @@
 import json
+import random
 
 import pytest
 
 from nashtree import cli, experiment
 from nashtree.cli import _build_parser, main
-from nashtree.gametree import parse_game_tree
-from nashtree.ohoh import parse_deal
-from nashtree.oracle import MAX_SAMPLES
+from nashtree.gametree import parse_game_tree, serialize_game_tree
+from nashtree.ohoh import TREE_NODE_BUDGET, parse_deal
+from nashtree.oracle import MAX_SAMPLES, STRATEGY_CAP, random_tree
 
 from .conftest import DATA
 
@@ -103,6 +104,13 @@ class TestGenOhoh:
             assert main(["gen-ohoh", "--cards", "2", "--seed", "9", "--out", str(path)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_tree_over_node_budget_is_input_error(self, tmp_path, capsys):
+        # The 7-card seed-0 hand unfolds to about 34M nodes; its DAG is small.
+        out = tmp_path / "hand.gtree"
+        assert main(["gen-ohoh", "--cards", "7", "--seed", "0", "--out", str(out)]) == 2
+        assert f"exceeds the budget of {TREE_NODE_BUDGET}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_report_written_and_summary_printed(self, tmp_path, capsys):
@@ -165,6 +173,17 @@ class TestOracleCommand:
         assert "containment: ok" in out
         assert "deterministic-match: ok" in out
         assert "extraction: ok" in out
+
+    def test_tree_over_strategy_cap_is_input_error(self, tmp_path, capsys):
+        # 21 binary internal nodes have 2**21 pure strategies.
+        path = tmp_path / "big.gtree"
+        path.write_text(serialize_game_tree(random_tree(random.Random(0), 21)))
+        assert main(["oracle", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: more than {STRATEGY_CAP} pure strategies, refusing to enumerate\n"
+        )
 
 
 class TestExitCodes:

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from nashtree.gametree import Internal, Leaf, is_equilibrium, parse_game_tree
+from nashtree.gametree import Internal, Leaf, binarize, is_equilibrium, parse_game_tree
 from nashtree.oracle import (
+    MIXING_SEARCH_TIE_BIAS,
+    MIXING_SEARCH_VALUES,
     _promote_child,
     brute_contains,
     cross_validate,
@@ -15,7 +17,29 @@ from nashtree.oracle import (
 from nashtree.solver import compute_ups_all
 from nashtree.ups import PayoffGrid, saturate, singleton_ups, ups_from_flags
 
-from .helpers import pv
+from .helpers import pv, reference_pure_spe
+
+
+def _reference_corpus():
+    """Criterion 4's m-ary trees raw and binarized, criterion 2's binary
+    trees, and tie-biased m-ary trees."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        tree = random_tree(rng, rng.randint(1, 8), (0, 1, 2, 3), max_arity=4)
+        yield tree
+        yield binarize(tree)
+    for seed in range(500):
+        rng = random.Random(seed)
+        yield random_tree(rng, rng.randint(1, 10), (0, 1, 2, 3))
+    rng = random.Random(83)
+    for _ in range(300):
+        yield random_tree(
+            rng,
+            rng.randint(1, 6),
+            MIXING_SEARCH_VALUES,
+            max_arity=4,
+            tie_bias=MIXING_SEARCH_TIE_BIAS,
+        )
 
 
 class TestEnumeratePureSpe:
@@ -44,6 +68,23 @@ class TestEnumeratePureSpe:
                 from nashtree.gametree import evaluate
 
                 assert evaluate(tree, witness)[tree.root] == value
+
+    def test_matches_whole_tree_scan(self):
+        checked = 0
+        for tree in _reference_corpus():
+            try:
+                want = set(reference_pure_spe(tree, cap=1 << 12))
+            except ValueError:  # too many strategies for the scan
+                continue
+            checked += 1
+            pure = enumerate_pure_spe(tree)
+            assert set(pure) == want
+            internals = set(tree.internal_ids())
+            for value, witness in pure.items():
+                assert witness.is_pure() and set(witness.choices) == internals
+                check = is_equilibrium(tree, witness)
+                assert check.ok and check.value == value
+        assert checked > 1000
 
 
 class TestSamplePoints:
