@@ -112,9 +112,10 @@ def solve_hand(config: ExperimentConfig, seed: int) -> HandRecord:
     """Deal, build, and solve one hand; deterministic given inputs."""
     ohoh_config = OhohConfig(config.cards, config.miss_penalty)
     t0 = time.perf_counter()
-    # The solvers take m-ary and one-child nodes as they are, and every walk
-    # below visits each distinct subtree once: a 4-card hand has about 15k
-    # tree nodes but a few hundred distinct ones.
+    # The build derives the card play once per (button, hands) and then
+    # re-interns it per outcome window on int keys. Every walk below visits
+    # each distinct node once, m-ary and one-child nodes as they are: a
+    # 4-card hand has about 15k tree nodes but a few hundred distinct ones.
     game = build_dag(deal(ohoh_config, seed), ohoh_config)
     t1 = time.perf_counter()
     any_result = any_nash(game)

@@ -131,59 +131,95 @@ def build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
     Children are ordered by ascending contract and by (suit C<D<H<S, then
     rank) for cards.
 
-    The play from a trick's lead on depends only on the button, both
-    remaining hands and the payoffs the remaining tricks can still
-    produce, listed by how many of them player 1 takes; each such state is
-    built once, whatever the contracts and tricks that led to it. Nodes
-    are interned, internal ones by (controller, children) and leaves by
-    payoff, so equal subtrees are one node. Ids are given as nodes are
-    made, children first; every node is reachable from the root.
+    Two passes build it. The first derives the card play once per lead
+    state (button, both remaining hands), storing each led card's replies
+    as (player 1 takes the trick, next state). The second re-interns the
+    play per contract pair on int keys: an outcome window (the payoffs the
+    remaining tricks can still produce, by how many of them player 1
+    takes) is numbered once with its shifts after a trick won or lost, and
+    the play from a lead is memoised on (state, window). Nodes are interned
+    by (controller, children), leaves by payoff, and made last. Ids are
+    given children first, so ids 1..n are a post-order of every node; the
+    game returned keeps it as its walk.
     """
     k = config.cards_per_player
     if len(deal_.hand1) != k or len(deal_.hand2) != k:
         raise ValueError("deal does not match the configured hand size")
     trump = deal_.trump
     mode = config.miss_penalty
-    ids: dict[Internal | Leaf, int] = {}
-    states: dict[tuple, int] = {}
+    state_ids: dict[tuple, int] = {}
+    # Per state: None once the hands are empty, else (button, replier, one
+    # tuple per led card of its replies as (player 1 takes, next state)).
+    plays: list[tuple | None] = []
 
-    def intern(node: Internal | Leaf) -> int:
+    def derive(button: int, hands: tuple) -> int:
+        sid = state_ids.get((button, hands))
+        if sid is not None:
+            return sid
+        hand = hands[button - 1]
+        play = None
+        if hand:
+            other = 3 - button
+            other_hand = hands[other - 1]
+            replies = []
+            for i, led in enumerate(hand):
+                rest = hand[:i] + hand[i + 1:]
+                answers = []
+                for card in legal_cards(other_hand, led.suit):
+                    j = other_hand.index(card)
+                    other_rest = other_hand[:j] + other_hand[j + 1:]
+                    winner = button if trick_winner(led, card, trump) else other
+                    answers.append((winner == 1, derive(
+                        winner, (rest, other_rest) if button == 1 else (other_rest, rest)
+                    )))
+                replies.append(tuple(answers))
+            play = (button, other, tuple(replies))
+        sid = state_ids[(button, hands)] = len(plays)
+        plays.append(play)
+        return sid
+
+    start = derive(1, (deal_.hand1, deal_.hand2))
+    states = len(plays)
+    window_ids: dict[tuple, int] = {}
+    # Per window: its first payoff pair (a leaf's, once one trick count is
+    # left), then the windows after a trick player 1 takes and loses.
+    windows: list[tuple] = []
+
+    def window(outcomes: tuple) -> int:
+        wid = window_ids.get(outcomes)
+        if wid is None:
+            shifts = (window(outcomes[1:]), window(outcomes[:-1])) if len(outcomes) > 1 else ()
+            wid = window_ids[outcomes] = len(windows)
+            windows.append((outcomes[0], *shifts))
+        return wid
+
+    # Nodes by (controller, children) or, for a leaf, its payoffs (s1, s2).
+    ids: dict[tuple, int] = {}
+    memo: dict[int, int] = {}  # wid * states + sid -> node id
+
+    def intern(node: tuple) -> int:
         return ids.setdefault(node, len(ids) + 1)
 
-    def lead(button: int, hands: tuple, outcomes: tuple) -> int:
-        """The node where `button` leads a trick, its replies below it;
-        `outcomes[w]` is the payoff pair if player 1 takes w of the tricks
-        still to play. A reply's state (the lead's, less the led card, plus
-        that card) follows from its lead's, so only leads are memoised."""
-        state = (button, hands, outcomes)
-        nid = states.get(state)
-        if nid is not None:
-            return nid
-        hand = hands[button - 1]
-        if not hand:
-            s1, s2 = outcomes[0]
-            nid = states[state] = intern(Leaf(PayoffVector(Fraction(s1), Fraction(s2))))
-            return nid
-        other = 3 - button
-        other_hand = hands[other - 1]
-        replies = []
-        for i, led in enumerate(hand):
-            rest = hand[:i] + hand[i + 1:]
-            answers = []
-            for card in legal_cards(other_hand, led.suit):
-                j = other_hand.index(card)
-                other_rest = other_hand[:j] + other_hand[j + 1:]
-                winner = button if trick_winner(led, card, trump) else other
-                answers.append(lead(
-                    winner,
-                    (rest, other_rest) if button == 1 else (other_rest, rest),
-                    outcomes[1:] if winner == 1 else outcomes[:-1],
-                ))
-            replies.append(intern(Internal(other, tuple(answers))))
-        nid = states[state] = intern(Internal(button, tuple(replies)))
+    def lead(sid: int, wid: int) -> int:
+        """The node where a trick is led in state `sid` with outcome window
+        `wid`, its replies below it; callers look it up in `memo` first."""
+        play = plays[sid]
+        if play is None:
+            node = windows[wid][0]
+        else:
+            button, other, replies = play
+            _, won, lost = windows[wid]
+            kids = []
+            for answers in replies:
+                reply = []
+                for p1, nxt in answers:
+                    w = won if p1 else lost
+                    reply.append(memo.get(w * states + nxt) or lead(nxt, w))
+                kids.append(intern((other, tuple(reply))))
+            node = (button, tuple(kids))
+        nid = memo[wid * states + sid] = intern(node)
         return nid
 
-    hands = (deal_.hand1, deal_.hand2)
     contract1_children = []
     for c1 in range(k + 1):
         bid2_children = []
@@ -192,10 +228,17 @@ def build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
                 outcomes = tuple(
                     (score(c1, w, mode), score(c2, k - w, mode)) for w in range(k + 1)
                 )
-                bid2_children.append(lead(1, hands, outcomes))
-        contract1_children.append(intern(Internal(2, tuple(bid2_children))))
-    root = intern(Internal(1, tuple(contract1_children)))
-    return GameTree(root, {nid: node for node, nid in ids.items()})
+                # Each contract pair has its own window, so nothing to look up.
+                bid2_children.append(lead(start, window(outcomes)))
+        contract1_children.append(intern((2, tuple(bid2_children))))
+    root = intern((1, tuple(contract1_children)))
+    nodes = {
+        nid: Internal(a, b) if type(b) is tuple else Leaf(PayoffVector(Fraction(a), Fraction(b)))
+        for (a, b), nid in ids.items()
+    }
+    game = GameTree(root, nodes)
+    game.__dict__["_post_order"] = tuple(nodes)  # GameTree's cached walk
+    return game
 
 
 # Most nodes `build_tree` unfolds: 5-card hands have up to 1.7M (seeds 0-199),

@@ -17,7 +17,7 @@ from nashtree.gametree import (
     evaluate,
     pure_strategy,
 )
-from nashtree.ohoh import OhohConfig, build_tree, deal
+from nashtree.ohoh import Deal, OhohConfig, build_tree, deal, legal_cards, score, trick_winner
 from nashtree.oracle import STRATEGY_CAP
 from nashtree.solver import (
     any_nash,
@@ -212,3 +212,67 @@ def reference_pure_spe(
             if value not in found:
                 found[value] = pure_strategy(choice)
     return found
+
+
+def reference_build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
+    """The card game of a deal as a DAG, built the way `ohoh.build_dag` did
+    before it derived the card play once per hand: the play from each lead
+    is memoised on (button, both hands, the remaining outcome vector) and
+    interned as Internal and Leaf objects as it is made."""
+    k = config.cards_per_player
+    if len(deal_.hand1) != k or len(deal_.hand2) != k:
+        raise ValueError("deal does not match the configured hand size")
+    trump = deal_.trump
+    mode = config.miss_penalty
+    ids: dict[Internal | Leaf, int] = {}
+    states: dict[tuple, int] = {}
+
+    def intern(node: Internal | Leaf) -> int:
+        return ids.setdefault(node, len(ids) + 1)
+
+    def lead(button: int, hands: tuple, outcomes: tuple) -> int:
+        """The node where `button` leads a trick, its replies below it;
+        `outcomes[w]` is the payoff pair if player 1 takes w of the tricks
+        still to play. A reply's state (the lead's, less the led card, plus
+        that card) follows from its lead's, so only leads are memoised."""
+        state = (button, hands, outcomes)
+        nid = states.get(state)
+        if nid is not None:
+            return nid
+        hand = hands[button - 1]
+        if not hand:
+            s1, s2 = outcomes[0]
+            nid = states[state] = intern(Leaf(PayoffVector(Fraction(s1), Fraction(s2))))
+            return nid
+        other = 3 - button
+        other_hand = hands[other - 1]
+        replies = []
+        for i, led in enumerate(hand):
+            rest = hand[:i] + hand[i + 1:]
+            answers = []
+            for card in legal_cards(other_hand, led.suit):
+                j = other_hand.index(card)
+                other_rest = other_hand[:j] + other_hand[j + 1:]
+                winner = button if trick_winner(led, card, trump) else other
+                answers.append(lead(
+                    winner,
+                    (rest, other_rest) if button == 1 else (other_rest, rest),
+                    outcomes[1:] if winner == 1 else outcomes[:-1],
+                ))
+            replies.append(intern(Internal(other, tuple(answers))))
+        nid = states[state] = intern(Internal(button, tuple(replies)))
+        return nid
+
+    hands = (deal_.hand1, deal_.hand2)
+    contract1_children = []
+    for c1 in range(k + 1):
+        bid2_children = []
+        for c2 in range(k + 1):
+            if c1 + c2 != k:
+                outcomes = tuple(
+                    (score(c1, w, mode), score(c2, k - w, mode)) for w in range(k + 1)
+                )
+                bid2_children.append(lead(1, hands, outcomes))
+        contract1_children.append(intern(Internal(2, tuple(bid2_children))))
+    root = intern(Internal(1, tuple(contract1_children)))
+    return GameTree(root, {nid: node for node, nid in ids.items()})

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -126,6 +127,21 @@ class TestExperimentCommand:
         doc = json.loads(report.read_text())
         assert doc["hands"] == 6
         assert len(doc["per_hand"]) == 6
+
+    def test_six_card_hand(self, tmp_path):
+        report = tmp_path / "report.json"
+        rc = main(
+            ["experiment", "--cards", "6", "--hands", "1", "--seed", "0",
+             "--miss-penalty", "flat", "--report", str(report)]
+        )
+        assert rc == 0
+        (hand,) = json.loads(report.read_text())["per_hand"]
+        assert hand["seed"] == 0
+
+        def welfare(pair):
+            return sum(Fraction(x) for x in pair)
+
+        assert welfare(hand["best"]["social"]) >= welfare(hand["det_social"])
 
     def test_hand_failure_exits_3_naming_the_seed(self, tmp_path, capsys, monkeypatch):
         def solve(config, seed):

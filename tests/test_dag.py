@@ -39,9 +39,21 @@ from nashtree.solver import (
 )
 from nashtree.ups import equal_ups
 
-from .helpers import pv, random_mary_tree, share
+from .helpers import pv, random_mary_tree, reference_build_dag, share
 
 FLAT4 = OhohConfig(4, "flat")
+
+# (config, seeds) of the hands the builder is checked on against the
+# builder it replaced: 1-5 cards flat and mirror, plus two 6-card hands.
+BUILDER_HANDS = [
+    (OhohConfig(cards, mode), range(seeds))
+    for cards, seeds in [(1, 6), (2, 6), (3, 6), (4, 4), (5, 2)]
+    for mode in ("flat", "mirror")
+] + [(OhohConfig(6, "flat"), range(2))]
+ON_BUILDER_HANDS = pytest.mark.parametrize(
+    "config, seeds", BUILDER_HANDS,
+    ids=[f"{c.cards_per_player}-{c.miss_penalty}" for c, _ in BUILDER_HANDS],
+)
 
 
 def _random_trees(count: int, seed: int = 3) -> list[GameTree]:
@@ -151,6 +163,31 @@ class TestCardGameDag:
         for seed in range(5):
             dag = build_dag(deal(config, seed), config)
             assert unfold(dag) == build_tree(deal(config, seed), config)
+
+    @ON_BUILDER_HANDS
+    def test_same_dag_as_the_reference_builder(self, config, seeds):
+        for seed in seeds:
+            hand = deal(config, seed)
+            dag, expected = build_dag(hand, config), reference_build_dag(hand, config)
+            assert dag.root == expected.root
+            assert dag.nodes == expected.nodes
+            assert list(dag.nodes) == list(expected.nodes)
+
+    @ON_BUILDER_HANDS
+    def test_post_order_lists_each_node_once_children_first(self, config, seeds):
+        for seed in seeds:
+            dag = build_dag(deal(config, seed), config)
+            order = list(dag.post_order())
+            assert sorted(order) == sorted(dag.nodes)
+            assert order[-1] == dag.root
+            # The builder hands its order over; a fresh walk reaches every node.
+            assert len(list(GameTree(dag.root, dag.nodes).post_order())) == len(order)
+            seen = set()
+            for nid in order:
+                node = dag.nodes[nid]
+                if isinstance(node, Internal):
+                    assert seen.issuperset(node.children)
+                seen.add(nid)
 
     def test_every_node_is_reachable_and_distinct(self):
         for seed in range(5):
