@@ -16,8 +16,8 @@ print(serialize_deal(dealt))
 
 raw = build_tree(dealt, config)
 work = binarize(raw)
-print(f"game tree: {len(raw.nodes)} nodes raw (depth {raw.depth()}), "
-      f"{len(work.nodes)} after binarization\n")
+print(f"game tree: {len(raw)} nodes raw (depth {raw.depth()}), "
+      f"{len(work)} after binarization\n")
 
 baseline = any_nash(work)
 print("arbitrary equilibrium value:", baseline.value)

@@ -17,7 +17,6 @@ from nashtree import (
     equal_ups,
 )
 from nashtree.ups import build_grid, singleton_ups
-from nashtree.gametree import Leaf
 
 rng = random.Random(7)
 tree = random_tree(rng, internal_count=8)
@@ -34,7 +33,7 @@ print("extraction spot checks failed:", len(report.extraction_failures))
 
 print("\n== one merge recomputed from its definition ==")
 grid = build_grid(tree)
-leaves = [n.payoff for n in tree.nodes.values() if isinstance(n, Leaf)]
+leaves = [tree.payoffs[i] for i in tree.leaf.values()]
 a = singleton_ups(grid, leaves[0])
 b = singleton_ups(grid, leaves[1])
 fast = merge(a, b, 1)

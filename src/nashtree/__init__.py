@@ -10,8 +10,6 @@ from .gametree import (
     EquilibriumCheck,
     GameTree,
     GtreeParseError,
-    Internal,
-    Leaf,
     MissingStrategyError,
     PayoffVector,
     Strategy,
@@ -21,7 +19,6 @@ from .gametree import (
     is_equilibrium,
     parse_game_tree,
     parse_strategy,
-    pure_strategy,
     serialize_game_tree,
     serialize_strategy,
     tree_sizes,

@@ -9,6 +9,12 @@ structural validation, binarization to two-child form, unfolding,
 expected-value computation for (possibly stochastic) strategies, and the
 local-optimality check that defines a subgame perfect equilibrium.
 
+A game is stored as columns keyed by node id that hold only ints, tuples
+of ints and indices into one table of shared payoff objects; a strategy
+stores each probability-one choice as a child id. Parsing, rewriting and
+walking a game keep no object per node, and once the cyclic collector
+has passed over the columns it no longer tracks them.
+
 All arithmetic is done with `fractions.Fraction`; ties between payoffs
 are meaningful and must be exact, so no floating point is used anywhere.
 """
@@ -17,10 +23,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple
 
 from .rationals import format_rational, parse_rational
 
@@ -58,31 +64,29 @@ class PayoffVector:
         return f"{format_rational(self.p1)} {format_rational(self.p2)}"
 
 
-@dataclass(frozen=True, slots=True)
-class Internal:
-    controller: int
-    children: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Leaf:
-    payoff: PayoffVector
-
-
-Node = Union[Internal, Leaf]
-
-
 @dataclass(frozen=True)
 class GameTree:
-    """An indexed node collection plus a designated root id.
+    """A game as columns keyed by node id, plus a designated root id.
 
-    Node ids are positive integers. Child order is significant: the first
-    child is the "left" one everywhere (binarization, tie-breaking). Nodes
-    may share children (a game DAG); parsing and validate() require a tree.
+    Node ids are positive integers. An internal node has its player (1 or
+    2) in `controller` and its child ids in `children`; a leaf has, in
+    `leaf`, the index of its payoff in `payoffs`, which leaves with equal
+    payoffs may share. Child order is significant: the first child is the
+    "left" one everywhere (binarization, tie-breaking). Nodes may share
+    children (a game DAG); parsing and validate() require a tree. Columns
+    are dicts, so sparse or huge ids cost no more than small ones; they
+    are not changed once made, and games made from others share them.
     """
 
     root: int
-    nodes: dict[int, Node]
+    controller: dict[int, int]
+    children: dict[int, tuple[int, ...]]
+    leaf: dict[int, int]
+    payoffs: tuple[PayoffVector, ...]
+
+    def __len__(self) -> int:
+        """The number of nodes."""
+        return len(self.children) + len(self.leaf)
 
     @cached_property
     def _post_order(self) -> tuple[int, ...]:
@@ -90,19 +94,19 @@ class GameTree:
         # is the post-order that takes them first to last. A shared node
         # makes the walk longer than the node count; it then stops, and the
         # DAG gets a depth-first walk that emits each node once.
-        nodes = self.nodes
+        children = self.children
         order: list[int] = []
         stack = [self.root]
-        for _ in range(len(nodes)):
+        for _ in range(len(self)):
             if not stack:
                 break
             nid = stack.pop()
             order.append(nid)
-            node = nodes[nid]
-            if isinstance(node, Internal):
-                stack.extend(node.children)
+            kids = children.get(nid)
+            if kids:
+                stack.extend(kids)
         if stack:
-            return _dag_post_order(nodes, self.root)
+            return _dag_post_order(children, self.root)
         order.reverse()
         return tuple(order)
 
@@ -112,31 +116,24 @@ class GameTree:
         return iter(self._post_order)
 
     def internal_ids(self) -> list[int]:
-        return [i for i in self._post_order if isinstance(self.nodes[i], Internal)]
+        return [i for i in self._post_order if i in self.children]
 
     def leaf_ids(self) -> list[int]:
-        return [i for i in self._post_order if isinstance(self.nodes[i], Leaf)]
+        return [i for i in self._post_order if i in self.leaf]
 
     def is_binary(self) -> bool:
-        return all(
-            len(n.children) == 2
-            for n in self.nodes.values()
-            if isinstance(n, Internal)
-        )
+        return all(len(kids) == 2 for kids in self.children.values())
 
     def depth(self) -> int:
         """Longest root-to-leaf path, counted in edges."""
         depths: dict[int, int] = {}
         for nid in self._post_order:
-            node = self.nodes[nid]
-            if isinstance(node, Leaf):
-                depths[nid] = 0
-            else:
-                depths[nid] = 1 + max(depths[c] for c in node.children)
+            kids = self.children.get(nid)
+            depths[nid] = 0 if kids is None else 1 + max(depths[c] for c in kids)
         return depths[self.root]
 
 
-def _dag_post_order(nodes: dict[int, Node], root: int) -> tuple[int, ...]:
+def _dag_post_order(children: dict[int, tuple[int, ...]], root: int) -> tuple[int, ...]:
     order: list[int] = []
     seen: set[int] = set()
     stack: list[tuple[int, bool]] = [(root, False)]
@@ -146,36 +143,35 @@ def _dag_post_order(nodes: dict[int, Node], root: int) -> tuple[int, ...]:
             order.append(nid)
         elif nid not in seen:
             seen.add(nid)
-            node = nodes[nid]
-            if isinstance(node, Internal):
-                stack.append((nid, True))
-                stack.extend((c, False) for c in reversed(node.children))
-            else:
+            kids = children.get(nid)
+            if kids is None:
                 order.append(nid)
+            else:
+                stack.append((nid, True))
+                stack.extend((c, False) for c in reversed(kids))
     return tuple(order)
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """Per-internal-node probability distribution over children.
+    """A move per internal node.
 
-    `choices[node]` lists (child, probability) pairs; probabilities are
-    exact and should sum to one per node. Zero-probability children may be
-    listed but are dropped when serializing.
+    `pure[node]` is the child a node plays with probability one, and
+    `mixed[node]` lists the (child, probability) pairs of a node that
+    plays otherwise; probabilities are exact and should sum to one per
+    node. Zero-probability children may be listed but are dropped when
+    serializing.
     """
 
-    choices: dict[int, tuple[tuple[int, Fraction], ...]]
+    pure: dict[int, int]
+    mixed: dict[int, tuple[tuple[int, Fraction], ...]] = field(default_factory=dict)
 
     def is_pure(self) -> bool:
         return all(
             sum(1 for _, pr in entries if pr != 0) == 1
             and all(pr in (0, ONE) for _, pr in entries)
-            for entries in self.choices.values()
+            for entries in self.mixed.values()
         )
-
-
-def pure_strategy(choice_per_node: dict[int, int]) -> Strategy:
-    return Strategy({nid: ((child, ONE),) for nid, child in choice_per_node.items()})
 
 
 # -- validation ---------------------------------------------------------------
@@ -188,19 +184,19 @@ def validate(tree: GameTree) -> list[str]:
     acyclicity, reachability of every declared node, and internal arity >= 2.
     """
     violations: list[str] = []
-    nodes = tree.nodes
-    if tree.root not in nodes:
+    children = tree.children
+    declared = children.keys() | tree.leaf.keys()
+    if tree.root not in declared:
         violations.append(f"root {tree.root} is not a declared node")
         return violations
 
     parents: dict[int, int] = {}
-    for nid, node in sorted(nodes.items()):
-        if not isinstance(node, Internal):
-            continue
-        if len(node.children) < 2:
+    for nid in sorted(children):
+        kids = children[nid]
+        if len(kids) < 2:
             violations.append(f"internal node {nid} arity < 2")
-        for child in node.children:
-            if child not in nodes:
+        for child in kids:
+            if child not in declared:
                 violations.append(f"node {nid} references undeclared child {child}")
             elif child in parents:
                 violations.append(
@@ -212,23 +208,21 @@ def validate(tree: GameTree) -> list[str]:
     # Cycle check over the child graph (independent of the parent map so a
     # broken tree still gets a precise report).
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in nodes}
-    for start in sorted(nodes):
+    color = dict.fromkeys(declared, WHITE)
+    for start in sorted(declared):
         if color[start] != WHITE:
             continue
         stack: list[tuple[int, int]] = [(start, 0)]
         color[start] = GRAY
         while stack:
             nid, idx = stack[-1]
-            node = nodes[nid]
-            children = node.children if isinstance(node, Internal) else ()
-            children = tuple(c for c in children if c in nodes)
-            if idx == len(children):
+            kids = tuple(c for c in children.get(nid, ()) if c in declared)
+            if idx == len(kids):
                 color[nid] = BLACK
                 stack.pop()
                 continue
             stack[-1] = (nid, idx + 1)
-            child = children[idx]
+            child = kids[idx]
             if color[child] == GRAY:
                 violations.append(f"cycle detected involving node {child}")
                 color[child] = BLACK
@@ -241,13 +235,11 @@ def validate(tree: GameTree) -> list[str]:
         frontier = [tree.root]
         while frontier:
             nid = frontier.pop()
-            if nid in reachable or nid not in nodes:
+            if nid in reachable or nid not in declared:
                 continue
             reachable.add(nid)
-            node = nodes[nid]
-            if isinstance(node, Internal):
-                frontier.extend(node.children)
-        for nid in sorted(nodes):
+            frontier.extend(children.get(nid, ()))
+        for nid in sorted(declared):
             if nid not in reachable:
                 violations.append(f"node {nid} unreachable from root {tree.root}")
     if tree.root in parents:
@@ -263,25 +255,62 @@ def _hard_violations(violations: list[str]) -> list[str]:
 
 # -- .gtree text format -------------------------------------------------------
 #
-# Both parsers make one pass over `str.split()` tokens. A token's column is
-# worked out only when an error is raised, by re-scanning its line.
+# Text in canonical form, as the serializers write it (the header, then one
+# directive per line, single spaces, no comments), is read with one regex
+# scan per directive. Other `.gtree` text is checked over each line's
+# `str.split()` tokens, which words every error, and rewritten in canonical
+# form. A token's column is worked out only when an error is raised, by
+# re-scanning its line.
 
 
 _TOKEN_RE = re.compile(r"\S+")
+_ID = "0*[1-9][0-9]*"
+_RATIONAL = "[+-]?[0-9]+(?:/[0-9]+)?"
+# Each scan finds whole lines between two newlines; the literal prefix lets
+# the regex engine skip to candidate lines instead of trying every offset.
+# `re` compiles a pattern on its first use and caches it.
+_NODE_LINES = rf"\nnode ({_ID}) player ([12]) children ({_ID}(?: {_ID})*)(?=\n)"
+_LEAF_LINES = rf"\nleaf ({_ID}) payoff ({_RATIONAL}) ({_RATIONAL})(?=\n)"
+_ROOT_LINES = rf"\nroot ({_ID})(?=\n)"
+_PURE_LINES = rf"\nat ({_ID}) choose ({_ID}) prob 1(?=\n)"
+_CHUNK = 1 << 18  # characters scanned at a time, which bounds the matches held
 
 
-def _content(lines: list[str]) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, line without its comment, tokens) of each non-blank line."""
-    for lineno, raw in enumerate(lines, start=1):
-        body = raw.partition("#")[0]
-        tokens = body.split()
-        if tokens:
-            yield lineno, body, tokens
+def _scan(text: str, *patterns: str) -> Iterator[list[list]]:
+    """The matches of each pattern in successive chunks of text that starts
+    with a header line and ends in a newline. Chunks start at a newline and
+    end after one, so each line lies whole in one chunk. Text is canonical
+    if the matches cover every line after the header: each match is made
+    of characters that break no line, so the lines `str.splitlines()` sees
+    are those too."""
+    compiled = [re.compile(p) for p in patterns]
+    start = 0
+    while start < len(text) - 1:
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield [p.findall(text, start, end) for p in compiled]
+        start = end - 1
 
 
-def _error(message: str, lineno: int, body: str, k: int = 0) -> GtreeParseError:
-    """An error located at the k-th token of a line."""
-    match = next(itertools.islice(_TOKEN_RE.finditer(body), k, None))
+def _content(lines: list[str], kind: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, tokens before any comment) of each non-blank line
+    after the `<kind> v1` header."""
+    content = (
+        (lineno, raw, tokens)
+        for lineno, raw in enumerate(lines, start=1)
+        if (tokens := raw.partition("#")[0].split() if "#" in raw else raw.split())
+    )
+    header = next(content, None)
+    if header is None:
+        raise GtreeParseError(f"empty input, expected header '{kind} v1'", 1, 1)
+    if header[2] != [kind, "v1"]:
+        raise _error(f"expected header '{kind} v1'", header[0], header[1])
+    return content
+
+
+def _error(message: str, lineno: int, line: str, k: int = 0) -> GtreeParseError:
+    """An error located at the k-th token of a line; a trailing comment does
+    not move the tokens before it."""
+    match = next(itertools.islice(_TOKEN_RE.finditer(line), k, None))
     return GtreeParseError(message, lineno, match.start() + 1)
 
 
@@ -319,18 +348,18 @@ def _is_tree(tree: GameTree) -> bool:
     exactly one parent. The post-order walk from the root, which the tree
     keeps, then rules out cycles by reaching all n nodes.
     """
-    nodes = tree.nodes
-    children = [c for node in nodes.values() if isinstance(node, Internal) for c in node.children]
-    distinct = set(children)
+    children, leaf = tree.children, tree.leaf
+    kids = list(itertools.chain.from_iterable(children.values()))
+    distinct = set(kids)
     if (
-        tree.root not in nodes
+        (tree.root not in children and tree.root not in leaf)
         or tree.root in distinct
-        or len(children) != len(nodes) - 1
-        or len(distinct) != len(children)
-        or not nodes.keys() >= distinct
+        or len(kids) != len(tree) - 1
+        or len(distinct) != len(kids)
+        or distinct.difference(children).difference(leaf)
     ):
         return False
-    return len(tree._post_order) == len(nodes)
+    return len(tree._post_order) == len(tree)
 
 
 def parse_game_tree(text: str) -> GameTree:
@@ -341,24 +370,59 @@ def parse_game_tree(text: str) -> GameTree:
     children, and unreachable nodes. Single-child internal nodes are
     accepted here; validate() still reports them.
 
-    Parsing takes time linear in the text: one pass over its tokens and a
-    linear structural check, with validate() run only to word an error.
-    Leaves whose payoff tokens are equal share one Leaf and PayoffVector,
+    Parsing takes time linear in the text: one pass over it (see above)
+    and a linear structural check, with validate() run only to word an
+    error. Leaves whose payoff tokens are equal share one payoff index,
     and equal rational tokens share one Fraction, as in generated trees.
     """
-    lines = text.splitlines()
-    content = _content(lines)
-    header = next(content, None)
-    if header is None:
-        raise GtreeParseError("empty input, expected header 'gtree v1'", 1, 1)
-    lineno, body, tokens = header
-    if tokens != ["gtree", "v1"]:
-        raise _error("expected header 'gtree v1'", lineno, body)
-    nodes: dict[int, Node] = {}
+    tree = _canonical_tree(text)
+    if tree is None:
+        tree = _canonical_tree("\n".join(_checked_lines(text.splitlines())) + "\n")
+    if not _is_tree(tree):
+        hard = _hard_violations(validate(tree))
+        raise GtreeParseError("; ".join(hard), len(text.splitlines()) or 1, 1)
+    return tree
+
+
+def _canonical_tree(text: str) -> GameTree | None:
+    """The game of canonical `.gtree` text, structure unchecked; None if a
+    line is not canonical or an id repeats."""
+    if not (text.startswith("gtree v1\n") and text.endswith("\n")):
+        return None
+    controller, children, leaf, index, roots = {}, {}, {}, {}, []
+    lines = 1  # the header
+    try:
+        for nodes, leaves, found in _scan(text, _NODE_LINES, _LEAF_LINES, _ROOT_LINES):
+            lines += len(nodes) + len(leaves) + len(found)
+            roots += found
+            node_ids = [int(nid) for nid, _, _ in nodes]
+            controller.update(zip(node_ids, [1 if player == "1" else 2 for _, player, _ in nodes]))
+            children.update(zip(node_ids, [
+                (int(k),) if " " not in k else tuple(map(int, k.split())) for _, _, k in nodes
+            ]))
+            leaf.update(zip(  # payoff indices in order of first appearance
+                [int(nid) for nid, _, _ in leaves],
+                [index.setdefault((a, b), len(index)) for _, a, b in leaves],
+            ))
+        distinct = len(children) + len(leaf) == lines - 2 and children.keys().isdisjoint(leaf)
+        if len(roots) != 1 or lines != text.count("\n") or not distinct:
+            return None  # a line that is not canonical, or a repeated id
+        root = int(roots[0])
+        rationals = {token: parse_rational(token) for pair in index for token in pair}
+    except ValueError:  # more digits than int() converts, or a zero denominator
+        return None
+    payoffs = tuple([PayoffVector(rationals[a], rationals[b]) for a, b in index])
+    return GameTree(root, controller, children, leaf, payoffs)
+
+
+def _checked_lines(lines: list[str]) -> list[str]:
+    """`.gtree` lines checked token by token and rewritten in canonical
+    form; raises GtreeParseError at the first malformed one."""
+    out = ["gtree v1"]
+    seen: set[int] = set()
     root: int | None = None
     rationals: dict[str, Fraction] = {}
-    leaves: dict[tuple[str, str], Leaf] = {}
-    for lineno, body, tokens in content:
+    for lineno, body, tokens in _content(lines, "gtree"):
         word = tokens[0]
         if word == "node":
             if len(tokens) < 6 or tokens[2] != "player" or tokens[4] != "children":
@@ -366,28 +430,23 @@ def parse_game_tree(text: str) -> GameTree:
                     "expected 'node <id> player <1|2> children <id> [...]'", lineno, body
                 )
             nid = _positive_int(tokens, 1, "node id", lineno, body)
-            if nid in nodes:
+            if nid in seen:
                 raise _error(f"duplicate id {nid}", lineno, body, 1)
             player = tokens[3]
             if player != "1" and player != "2":
                 raise _error(f"player must be 1 or 2, got {player!r}", lineno, body, 3)
-            children = tuple(
-                [_positive_int(tokens, k, "child id", lineno, body) for k in range(5, len(tokens))]
-            )
-            nodes[nid] = Internal(int(player), children)
+            for k in range(5, len(tokens)):
+                _positive_int(tokens, k, "child id", lineno, body)
+            seen.add(nid)
         elif word == "leaf":
             if len(tokens) != 5 or tokens[2] != "payoff":
                 raise _error("expected 'leaf <id> payoff <rat> <rat>'", lineno, body)
             nid = _positive_int(tokens, 1, "leaf id", lineno, body)
-            if nid in nodes:
+            if nid in seen:
                 raise _error(f"duplicate id {nid}", lineno, body, 1)
-            key = (tokens[3], tokens[4])
-            leaf = leaves.get(key)
-            if leaf is None:
-                p1 = _rational(tokens, 3, rationals, lineno, body)
-                p2 = _rational(tokens, 4, rationals, lineno, body)
-                leaf = leaves[key] = Leaf(PayoffVector(p1, p2))
-            nodes[nid] = leaf
+            _rational(tokens, 3, rationals, lineno, body)
+            _rational(tokens, 4, rationals, lineno, body)
+            seen.add(nid)
         elif word == "root":
             if len(tokens) != 2:
                 raise _error("expected 'root <id>'", lineno, body)
@@ -396,33 +455,27 @@ def parse_game_tree(text: str) -> GameTree:
             root = _positive_int(tokens, 1, "root id", lineno, body)
         else:
             raise _error(f"unknown directive {word!r}", lineno, body)
+        out.append(" ".join(tokens))
     if root is None:
         raise GtreeParseError("missing root declaration", len(lines) or 1, 1)
-    tree = GameTree(root, nodes)
-    if not _is_tree(tree):
-        hard = _hard_violations(validate(tree))
-        raise GtreeParseError("; ".join(hard), len(lines) or 1, 1)
-    return tree
+    return out
 
 
 def serialize_game_tree(tree: GameTree) -> str:
     """Render canonical `.gtree` text: header, root, then nodes ascending by id.
 
-    Each payoff object is formatted once, however many leaves share it.
+    Each entry of the payoff table is formatted once, however many leaves
+    share it.
     """
     out = ["gtree v1", f"root {tree.root}"]
-    nodes = tree.nodes
-    payoffs: dict[int, str] = {}
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        if isinstance(node, Internal):
-            kids = " ".join(map(str, node.children))
-            out.append(f"node {nid} player {node.controller} children {kids}")
+    controller, children, leaf = tree.controller, tree.children, tree.leaf
+    payoffs = [str(p) for p in tree.payoffs]
+    for nid in sorted(itertools.chain(children, leaf)):
+        kids = children.get(nid)
+        if kids is None:
+            out.append(f"leaf {nid} payoff {payoffs[leaf[nid]]}")
         else:
-            payoff = payoffs.get(id(node.payoff))
-            if payoff is None:
-                payoff = payoffs[id(node.payoff)] = str(node.payoff)
-            out.append(f"leaf {nid} payoff {payoff}")
+            out.append(f"node {nid} player {controller[nid]} children {' '.join(map(str, kids))}")
     return "\n".join(out) + "\n"
 
 
@@ -432,19 +485,27 @@ def serialize_game_tree(tree: GameTree) -> str:
 def parse_strategy(text: str) -> Strategy:
     """Parse strategy text (`strategy v1`, then one `at` line per node).
 
-    Like parse_game_tree, one pass over the tokens; equal probability
-    tokens share one Fraction.
+    A single child with probability one is stored as a pure choice. Like
+    parse_game_tree, one pass over the text: a regex scan when every line
+    is a canonical pure choice, else a pass over the tokens, where equal
+    probability tokens share one Fraction.
     """
-    content = _content(text.splitlines())
-    header = next(content, None)
-    if header is None:
-        raise GtreeParseError("empty input, expected header 'strategy v1'", 1, 1)
-    lineno, body, tokens = header
-    if tokens != ["strategy", "v1"]:
-        raise _error("expected header 'strategy v1'", lineno, body)
-    choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
+    if text.startswith("strategy v1\n") and text.endswith("\n"):
+        pure: dict[int, int] = {}
+        count = 0
+        try:
+            for (found,) in _scan(text, _PURE_LINES):
+                count += len(found)
+                pure.update(zip(map(int, [n for n, _ in found]), map(int, [c for _, c in found])))
+        except ValueError:  # more digits than int() converts
+            count = -1
+        if count == len(pure) == text.count("\n") - 1:  # every line canonical, no repeat
+            return Strategy(pure)
+    lines = text.splitlines()
+    pure = {}
+    mixed: dict[int, tuple[tuple[int, Fraction], ...]] = {}
     rationals: dict[str, Fraction] = {}
-    for lineno, body, tokens in content:
+    for lineno, body, tokens in _content(lines, "strategy"):
         if tokens[0] != "at":
             raise _error(f"expected 'at', got {tokens[0]!r}", lineno, body)
         if len(tokens) < 6 or tokens[2] != "choose":
@@ -454,7 +515,7 @@ def parse_strategy(text: str) -> Strategy:
                 body,
             )
         nid = _positive_int(tokens, 1, "node id", lineno, body)
-        if nid in choices:
+        if nid in pure or nid in mixed:
             raise _error(f"duplicate 'at {nid}' line", lineno, body)
         if len(tokens) % 3:
             raise _error("incomplete '<child> prob <rat>' group", lineno, body)
@@ -464,35 +525,25 @@ def parse_strategy(text: str) -> Strategy:
                 raise _error(f"expected 'prob', got {tokens[k + 1]!r}", lineno, body, k + 1)
             child = _positive_int(tokens, k, "child id", lineno, body)
             entries.append((child, _rational(tokens, k + 2, rationals, lineno, body)))
-        choices[nid] = tuple(entries)
-    return Strategy(choices)
+        if len(entries) == 1 and entries[0][1] == 1:
+            pure[nid] = entries[0][0]
+        else:
+            mixed[nid] = tuple(entries)
+    return Strategy(pure, mixed)
 
 
 def serialize_strategy(strategy: Strategy) -> str:
-    """Canonical strategy text: nodes ascending, children ascending, zeros dropped.
-
-    Each probability object is formatted once, however many entries share it.
-    """
+    """Canonical strategy text: nodes ascending, children ascending, zeros dropped."""
     out = ["strategy v1"]
-    choices = strategy.choices
-    texts: dict[int, str] = {}
-
-    def text(p: Fraction) -> str:
-        t = texts.get(id(p))
-        if t is None:
-            t = texts[id(p)] = format_rational(p)
-        return t
-
-    for nid in sorted(choices):
-        entries = choices[nid]
-        if len(entries) == 1:
-            child, p = entries[0]
-            t = text(p)
-            out.append(f"at {nid} choose {child} prob {t}" if t != "0" else f"at {nid} choose ")
+    pure, mixed = strategy.pure, strategy.mixed
+    for nid in sorted(pure.keys() | mixed.keys()):
+        child = pure.get(nid)
+        if child is not None:
+            out.append(f"at {nid} choose {child} prob 1")
             continue
         parts = []
-        for child, p in sorted(entries):
-            t = text(p)
+        for child, p in sorted(mixed[nid]):
+            t = format_rational(p)
             if t != "0":
                 parts.append(f"{child} prob {t}")
         out.append(f"at {nid} choose " + " ".join(parts))
@@ -502,19 +553,22 @@ def serialize_strategy(strategy: Strategy) -> str:
 def check_strategy(tree: GameTree, strategy: Strategy) -> list[str]:
     """Report problems that make a strategy unusable for this tree."""
     problems = []
+    children = tree.children
+    pure, mixed = strategy.pure, strategy.mixed
     for nid in tree.internal_ids():
-        entries = strategy.choices.get(nid)
+        kids = children[nid]
+        child = pure.get(nid)
+        if child is not None:
+            if child not in kids:
+                problems.append(f"node {nid}: {child} is not a child")
+            continue
+        entries = mixed.get(nid)
         if entries is None:
             problems.append(f"no entry for internal node {nid}")
             continue
-        node = tree.nodes[nid]
-        if len(entries) == 1 and entries[0][1] == 1:
-            if entries[0][0] not in node.children:
-                problems.append(f"node {nid}: {entries[0][0]} is not a child")
-            continue
         total = Fraction(0)
         for child, prob in entries:
-            if child not in node.children:
+            if child not in kids:
                 problems.append(f"node {nid}: {child} is not a child")
             if prob < 0:
                 problems.append(f"node {nid}: negative probability for child {child}")
@@ -535,41 +589,42 @@ def binarize(tree: GameTree) -> GameTree:
     and its first child; each fresh chain node takes the next child on the
     left, and the last chain node holds the final two. Fresh ids are assigned
     contiguously above the existing maximum, following ascending original-id
-    order. Single-child nodes (forced moves) are spliced out entirely.
+    order. Single-child nodes (forced moves) are spliced out entirely. The
+    leaves, and their columns, are the tree's own.
     """
-    nodes = tree.nodes
+    controller, children = tree.controller, tree.children
 
     def resolve(nid: int) -> int:
         # Follow forced single-child chains down to a real choice or a leaf.
         seen = set()
         while True:
-            node = nodes[nid]
-            if not isinstance(node, Internal) or len(node.children) != 1:
+            kids = children.get(nid)
+            if kids is None or len(kids) != 1:
                 return nid
             if nid in seen:
                 raise ValueError(f"cycle of single-child nodes at {nid}")
             seen.add(nid)
-            nid = node.children[0]
+            nid = kids[0]
 
-    new_nodes: dict[int, Node] = {}
-    next_id = max(nodes) + 1
-    for nid in sorted(nodes):
-        node = nodes[nid]
-        if isinstance(node, Leaf):
-            new_nodes[nid] = node
-            continue
-        if len(node.children) == 1:
+    new_controller, new_children = {}, {}
+    next_id = max(itertools.chain(children, tree.leaf)) + 1
+    for nid in sorted(children):
+        kids = children[nid]
+        if len(kids) == 1:
             continue  # spliced
-        kids = [resolve(c) for c in node.children]
+        x = controller[nid]
+        kids = [resolve(c) for c in kids]
         head = nid
         while len(kids) > 2:
             chain = next_id
             next_id += 1
-            new_nodes[head] = Internal(node.controller, (kids[0], chain))
+            new_controller[head] = x
+            new_children[head] = (kids[0], chain)
             head = chain
             kids = kids[1:]
-        new_nodes[head] = Internal(node.controller, tuple(kids))
-    return GameTree(resolve(tree.root), new_nodes)
+        new_controller[head] = x
+        new_children[head] = tuple(kids)
+    return GameTree(resolve(tree.root), new_controller, new_children, tree.leaf, tree.payoffs)
 
 
 # -- unfolding ------------------------------------------------------------------
@@ -579,21 +634,21 @@ def _unfolded_sizes(game: GameTree, binarized: bool) -> dict[int, int]:
     """Per node, the node count of the tree it unfolds to, or with
     `binarized` of that tree binarized: there an m-ary node counts m - 1,
     so a one-child node, which binarize() splices out, counts nothing."""
-    nodes = game.nodes
+    children = game.children
     sizes: dict[int, int] = {}
     for nid in game.post_order():
-        node = nodes[nid]
-        if isinstance(node, Leaf):
+        kids = children.get(nid)
+        if kids is None:
             sizes[nid] = 1
         else:
-            own = len(node.children) - 1 if binarized else 1
-            sizes[nid] = own + sum(sizes[c] for c in node.children)
+            own = len(kids) - 1 if binarized else 1
+            sizes[nid] = own + sum(map(sizes.__getitem__, kids))
     return sizes
 
 
 def tree_sizes(game: GameTree) -> tuple[int, int]:
-    """`len(tree.nodes)` and `len(binarize(tree).nodes)` of the tree that a
-    game (a tree or a DAG) unfolds to, counted over its distinct nodes."""
+    """`len(tree)` and `len(binarize(tree))` of the tree that a game (a
+    tree or a DAG) unfolds to, counted over its distinct nodes."""
     root = game.root
     return _unfolded_sizes(game, False)[root], _unfolded_sizes(game, True)[root]
 
@@ -602,27 +657,28 @@ def unfold(game: GameTree) -> GameTree:
     """The tree a game DAG stands for: one node per path from the root.
 
     Ids run 1, 2, ... in preorder, children first to last; leaves keep the
-    game's Leaf objects.
+    game's payoff indices and table.
     """
-    nodes = game.nodes
+    g_controller, g_children, g_leaf = game.controller, game.children, game.leaf
     sizes = _unfolded_sizes(game, False)
-    out: dict[int, Node] = {}
+    controller, children, leaf = {}, {}, {}
     stack = [(game.root, 1)]
     pop, push = stack.pop, stack.append
     while stack:
         source, nid = pop()
-        node = nodes[source]
-        if isinstance(node, Leaf):
-            out[nid] = node
+        kids = g_children.get(source)
+        if kids is None:
+            leaf[nid] = g_leaf[source]
             continue
-        kids = []
+        ids = []
         nxt = nid + 1
-        for child in node.children:
-            kids.append(nxt)
+        for child in kids:
+            ids.append(nxt)
             push((child, nxt))
             nxt += sizes[child]
-        out[nid] = Internal(node.controller, tuple(kids))
-    return GameTree(1, out)
+        controller[nid] = g_controller[source]
+        children[nid] = tuple(ids)
+    return GameTree(1, controller, children, leaf, game.payoffs)
 
 
 # -- strategy value and equilibrium check -------------------------------------
@@ -632,30 +688,32 @@ def evaluate(tree: GameTree, strategy: Strategy) -> dict[int, PayoffVector]:
     """Exact expected payoff vector of every node's subtree under `strategy`.
 
     A leaf's value is its payoff; an internal node's value is the
-    probability-weighted sum of its children's values. A single entry with
-    probability one passes its child's value through unchanged. Raises
+    probability-weighted sum of its children's values. A pure choice
+    passes its child's value through unchanged. Raises
     MissingStrategyError if the strategy lacks an entry for some internal
     node, and ValueError if an entry names a non-child.
     """
+    children, leaf, payoffs = tree.children, tree.leaf, tree.payoffs
+    pure, mixed = strategy.pure, strategy.mixed
     values: dict[int, PayoffVector] = {}
     for nid in tree.post_order():
-        node = tree.nodes[nid]
-        if isinstance(node, Leaf):
-            values[nid] = node.payoff
+        kids = children.get(nid)
+        if kids is None:
+            values[nid] = payoffs[leaf[nid]]
             continue
-        entries = strategy.choices.get(nid)
-        if entries is None:
-            raise MissingStrategyError(f"strategy has no entry for internal node {nid}")
-        if len(entries) == 1 and entries[0][1] == 1:
-            child = entries[0][0]
-            if child not in node.children:
+        child = pure.get(nid)
+        if child is not None:
+            if child not in kids:
                 raise ValueError(f"strategy at node {nid} names non-child {child}")
             values[nid] = values[child]
             continue
+        entries = mixed.get(nid)
+        if entries is None:
+            raise MissingStrategyError(f"strategy has no entry for internal node {nid}")
         p1 = Fraction(0)
         p2 = Fraction(0)
         for child, prob in entries:
-            if child not in node.children:
+            if child not in kids:
                 raise ValueError(f"strategy at node {nid} names non-child {child}")
             if prob == 0:
                 continue
@@ -683,15 +741,15 @@ def is_equilibrium(tree: GameTree, strategy: Strategy) -> EquilibriumCheck:
     """
     values = evaluate(tree, strategy)
     value = values[tree.root]
-    nodes = tree.nodes
+    controller, children = tree.controller, tree.children
     for nid in tree.post_order():
-        node = nodes[nid]
-        if isinstance(node, Leaf):
+        kids = children.get(nid)
+        if kids is None:
             continue
-        x = node.controller
+        x = controller[nid]
         mine = values[nid]
         own = mine.p1 if x == 1 else mine.p2
-        for child in node.children:
+        for child in kids:
             v = values[child]
             # The child whose value object is the node's own cannot beat it.
             if v is not mine and (v.p1 if x == 1 else v.p2) > own:

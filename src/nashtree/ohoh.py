@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .gametree import GameTree, GtreeParseError, Internal, Leaf, PayoffVector, tree_sizes, unfold
+from .gametree import GameTree, GtreeParseError, PayoffVector, tree_sizes, unfold
 
 SUITS = "CDHS"
 RANKS = range(2, 15)  # 14 is the ace; deuce is lowest
@@ -138,9 +138,9 @@ def build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
     remaining tricks can still produce, by how many of them player 1
     takes) is numbered once with its shifts after a trick won or lost, and
     the play from a lead is memoised on (state, window). Nodes are interned
-    by (controller, children), leaves by payoff, and made last. Ids are
-    given children first, so ids 1..n are a post-order of every node; the
-    game returned keeps it as its walk.
+    by (controller, children), leaves by payoff, and written to the game's
+    columns last. Ids are given children first, so ids 1..n are a
+    post-order of every node; the game returned keeps it as its walk.
     """
     k = config.cards_per_player
     if len(deal_.hand1) != k or len(deal_.hand2) != k:
@@ -232,12 +232,13 @@ def build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
                 bid2_children.append(lead(start, window(outcomes)))
         contract1_children.append(intern((2, tuple(bid2_children))))
     root = intern((1, tuple(contract1_children)))
-    nodes = {
-        nid: Internal(a, b) if type(b) is tuple else Leaf(PayoffVector(Fraction(a), Fraction(b)))
-        for (a, b), nid in ids.items()
-    }
-    game = GameTree(root, nodes)
-    game.__dict__["_post_order"] = tuple(nodes)  # GameTree's cached walk
+    internal = {nid: node for node, nid in ids.items() if type(node[1]) is tuple}
+    leaves = {nid: node for node, nid in ids.items() if type(node[1]) is not tuple}
+    payoffs = tuple(PayoffVector(Fraction(a), Fraction(b)) for a, b in leaves.values())
+    controller = {nid: x for nid, (x, _) in internal.items()}
+    children = {nid: kids for nid, (_, kids) in internal.items()}
+    game = GameTree(root, controller, children, dict(zip(leaves, range(len(payoffs)))), payoffs)
+    game.__dict__["_post_order"] = tuple(ids.values())  # GameTree's cached walk
     return game
 
 
@@ -250,7 +251,7 @@ def build_tree(deal_: Deal, config: OhohConfig) -> GameTree:
     """The full game tree of a deal: `build_dag`'s game unfolded.
 
     Node ids are assigned in preorder from 1 at the root; leaves with
-    equal payoffs share one Leaf object. Raises ValueError when the tree
+    equal payoffs share one payoff index. Raises ValueError when the tree
     would have more than TREE_NODE_BUDGET nodes.
     """
     dag = build_dag(deal_, config)

@@ -16,16 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gametree import (
-    GameTree,
-    Internal,
-    Leaf,
-    PayoffVector,
-    Strategy,
-    is_equilibrium,
-    pure_strategy,
-    serialize_game_tree,
-)
+from .gametree import GameTree, PayoffVector, Strategy, is_equilibrium, serialize_game_tree
 from .solver import (
     compute_det_ups_all,
     compute_ups_all,
@@ -59,29 +50,29 @@ def enumerate_pure_spe(
     strategies, which bounds the work: a node has no more combinations
     than its subtree has strategies.
     """
-    nodes = tree.nodes
+    controller, children, leaf, payoffs = tree.controller, tree.children, tree.leaf, tree.payoffs
     total = 1
     for nid in tree.internal_ids():
-        total *= len(nodes[nid].children)
+        total *= len(children[nid])
         if total > cap:
             raise ValueError(f"more than {cap} pure strategies, refusing to enumerate")
     # found[nid]: each equilibrium value of the subtree -> one witness's choices
     found: dict[int, dict[PayoffVector, dict[int, int]]] = {}
     for nid in tree.post_order():
-        node = nodes[nid]
-        if isinstance(node, Leaf):
-            found[nid] = {node.payoff: {}}
+        kids = children.get(nid)
+        if kids is None:
+            found[nid] = {payoffs[leaf[nid]]: {}}
             continue
-        x = node.controller
+        x = controller[nid]
         here = found[nid] = {}
-        for combo in itertools.product(*(found[c].items() for c in node.children)):
+        for combo in itertools.product(*(found[c].items() for c in kids)):
             best = max(v.component(x) for v, _ in combo)
-            for child, (v, _) in zip(node.children, combo):
+            for child, (v, _) in zip(kids, combo):
                 if v not in here and v.component(x) == best:
                     choice = here[v] = {nid: child}
                     for _, below in combo:
                         choice.update(below)
-    return {value: pure_strategy(choice) for value, choice in found[tree.root].items()}
+    return {value: Strategy(choice) for value, choice in found[tree.root].items()}
 
 
 # -- point sampling -------------------------------------------------------------
@@ -260,7 +251,7 @@ def random_tree(
     the same player with that probability, making the exact-tie patterns
     that stochastic equilibria feed on far more frequent.
     """
-    nodes: dict[int, object] = {}
+    controller, children, leaf, payoffs = {}, {}, {}, []
     counter = itertools.count(1)
     pools: tuple[list, list] = ([], [])
 
@@ -281,7 +272,8 @@ def random_tree(
     def build(budget: int) -> int:
         nid = next(counter)
         if budget == 0:
-            nodes[nid] = Leaf(payoff())
+            leaf[nid] = len(payoffs)
+            payoffs.append(payoff())
             return nid
         arity = 2 if max_arity == 2 else rng.randint(2, max_arity)
         if arity == 2:
@@ -291,13 +283,12 @@ def random_tree(
             budgets = [0] * arity
             for _ in range(budget - 1):
                 budgets[rng.randrange(arity)] += 1
-        controller = rng.randint(1, 2)
-        children = tuple(build(b) for b in budgets)
-        nodes[nid] = Internal(controller, children)
+        controller[nid] = rng.randint(1, 2)
+        children[nid] = tuple(build(b) for b in budgets)
         return nid
 
     root = build(internal_count)
-    return GameTree(root, nodes)
+    return GameTree(root, controller, children, leaf, tuple(payoffs))
 
 
 # Search distribution for trees whose social optimum needs randomization:
@@ -397,21 +388,12 @@ def _run_checks(tree: GameTree, seed: int, samples: int) -> OracleReport:
 def _promote_child(tree: GameTree, nid: int, child: int) -> GameTree:
     """Replace the subtree at `nid` with the subtree at its child."""
     remap = lambda k: child if k == nid else k
-    root = remap(tree.root)
-    nodes: dict[int, object] = {}
-    stack = [root]
-    while stack:
-        k = stack.pop()
-        if k in nodes:
-            continue
-        node = tree.nodes[k]
-        if isinstance(node, Internal):
-            kids = tuple(remap(c) for c in node.children)
-            nodes[k] = Internal(node.controller, kids)
-            stack.extend(kids)
-        else:
-            nodes[k] = node
-    return GameTree(root, nodes)
+    children = {k: tuple(map(remap, kids)) for k, kids in tree.children.items()}
+    promoted = GameTree(remap(tree.root), tree.controller, children, tree.leaf, tree.payoffs)
+    keep = set(promoted.post_order())  # what the root still reaches
+    columns = (tree.controller, children, tree.leaf)
+    kept = ({k: v for k, v in column.items() if k in keep} for column in columns)
+    return GameTree(promoted.root, *kept, tree.payoffs)
 
 
 def cross_validate(
@@ -434,11 +416,8 @@ def cross_validate(
     improved = True
     while improved and budget > 0:
         improved = False
-        for nid in sorted(current.nodes):
-            node = current.nodes[nid]
-            if not isinstance(node, Internal):
-                continue
-            for child in node.children:
+        for nid in sorted(current.children):
+            for child in current.children[nid]:
                 candidate = _promote_child(current, nid, child)
                 budget -= 1
                 try:

@@ -11,12 +11,13 @@ payoffs of pure equilibria.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .gametree import GameTree, Internal, Leaf, Node, PayoffVector, Strategy
+from .gametree import GameTree, PayoffVector, Strategy, _dag_post_order
 from .ups import (
     PayoffGrid,
     Ups,
@@ -24,8 +25,8 @@ from .ups import (
     _locate,
     _ON,
     build_grid,
-    contains,
     cross_section,
+    flag_position,
     is_empty,
     merge,
     merge_deterministic,
@@ -108,27 +109,23 @@ class SetMap:
 def any_nash(tree: GameTree) -> SolveResult:
     """Backward induction with leftmost tie-breaking; returns a pure equilibrium."""
     t0 = time.perf_counter()
+    controller, children, leaf, payoffs = tree.controller, tree.children, tree.leaf, tree.payoffs
     values: dict[int, PayoffVector] = {}
-    choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
+    choices: dict[int, int] = {}
     for nid in tree.post_order():
-        node = tree.nodes[nid]
-        if isinstance(node, Leaf):
-            values[nid] = node.payoff
+        kids = children.get(nid)
+        if kids is None:
+            values[nid] = payoffs[leaf[nid]]
             continue
-        best = None
-        best_val = None
-        for child in node.children:
-            v = values[child].component(node.controller)
-            if best is None or v > best_val:
-                best, best_val = child, v
-        choices[nid] = ((best, ONE),)
+        x = controller[nid]
+        best = choices[nid] = max(kids, key=lambda c: values[c].component(x))  # leftmost of ties
         values[nid] = values[best]
     total_ms = (time.perf_counter() - t0) * 1000.0
     return SolveResult(
         value=values[tree.root],
         strategy=Strategy(choices),
         root_ups=None,
-        stats=SolveStats(nodes=len(tree.nodes), total_ms=total_ms),
+        stats=SolveStats(nodes=len(tree), total_ms=total_ms),
     )
 
 
@@ -146,9 +143,9 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
     sharing saves on small trees.
     """
     grid = build_grid(tree)
-    nodes = tree.nodes
+    controller, children, leaf, payoffs = tree.controller, tree.children, tree.leaf, tree.payoffs
     interned: dict[tuple[int, int, int, int], Ups] = {}
-    leaves: dict[int, Ups] = {}
+    leaves: dict[int, Ups] = {}  # by payoff index
     merged: dict[tuple[int, int, int], Ups] = {}
     by_node: dict[int, Ups] = {}
     merges = 0
@@ -157,16 +154,15 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
         return interned.setdefault((ups.p, ups.l1, ups.l2, ups.d), ups)
 
     for nid in tree.post_order():
-        node = nodes[nid]
-        if isinstance(node, Leaf):
-            # Generated trees share payoff objects between leaves; the tree
-            # keeps them alive, so their ids are stable for this call.
-            ups = leaves.get(id(node.payoff))
+        kids = children.get(nid)
+        if kids is None:
+            index = leaf[nid]
+            ups = leaves.get(index)
             if ups is None:
-                ups = leaves[id(node.payoff)] = intern(singleton_ups(grid, node.payoff))
+                ups = leaves[index] = intern(singleton_ups(grid, payoffs[index]))
             by_node[nid] = ups
             continue
-        x, kids = node.controller, node.children
+        x = controller[nid]
         k = len(kids) - 1
         merges += k
         acc = by_node[kids[k]]
@@ -327,15 +323,15 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
     target), so it is made once per distinct tuple and reused.
     """
     by_node = set_map.by_node
-    if not contains(by_node[node], target):
-        raise TargetNotInUpsError(f"target {target} is not attainable at node {node}")
-    nodes = tree.nodes
+    grid = set_map.grid
+    controller, children, leaf, payoffs = tree.controller, tree.children, tree.leaf, tree.payoffs
     # The caches are keyed by object ids, never by Fraction values. Sets are
     # interned by the solve, a punishment point is one object per set, and a
     # reused step hands out its stored child targets, so repeated work meets
     # repeated ids. Each step keeps its own target alive and the tree keeps
-    # the leaf payoffs alive, so no id is recycled during the walk.
+    # its payoff table alive, so no id is recycled during the walk.
     floors: dict[tuple[int, int], PayoffVector] = {}
+    places: dict[int, tuple[str, int]] = {}
     steps: dict[tuple[int, int, int, int], tuple] = {}
     leaves_paid: set[tuple[int, int]] = set()
 
@@ -346,13 +342,21 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
             point = floors[key] = min_point(u, x)
         return point
 
+    def has(u: Ups, point: PayoffVector) -> bool:
+        """`ups.contains`, placing each point object on the grid once."""
+        where = places.get(id(point))
+        if where is None:
+            where = places[id(point)] = flag_position(grid, point)
+        return bool(getattr(u, where[0]) >> where[1] & 1)
+
+    if not has(by_node[node], target):
+        raise TargetNotInUpsError(f"target {target} is not attainable at node {node}")
     # The first target each node is asked for; a node asked again for
     # another value is copied, once per (node, value).
     asked: dict[int, PayoffVector] = {node: target}
     copy_of: dict[tuple[int, PayoffVector], int] = {}
     origin: dict[int, int] = {}
-    moved: dict[int, list[tuple[int, int]]] = {}  # (position, copy id) per parent
-    copies: dict[int, Node] = {}  # split-game nodes that differ from the game's
+    moved: dict[int, list[int]] = {}  # the child ids of each parent of copies
     last_id = 0  # the id of the latest copy, once there is one
 
     def split(parent: int, position: int, child: int, want: PayoffVector) -> int:
@@ -360,30 +364,29 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
         key = (child, want)
         cid = copy_of.get(key)
         if cid is None:
-            last_id = cid = copy_of[key] = (last_id or max(nodes)) + 1
+            last_id = cid = copy_of[key] = (last_id or max(itertools.chain(children, leaf))) + 1
             origin[cid] = child
             push((cid, child, want))
-        moved.setdefault(parent, []).append((position, cid))
+        moved.setdefault(parent, list(children[origin.get(parent, parent)]))[position] = cid
         return cid
 
-    choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
+    pure: dict[int, int] = {}
+    mixed: dict[int, tuple[tuple[int, Fraction], ...]] = {}
     stack: list[tuple[int, int, PayoffVector]] = [(node, node, target)]
     push = stack.append
     while stack:
         gid, nid, want = stack.pop()
-        tnode = nodes[nid]
-        if isinstance(tnode, Leaf):
-            paid = (id(tnode.payoff), id(want))
+        kids = children.get(nid)
+        if kids is None:
+            paid = (leaf[nid], id(want))
             if paid not in leaves_paid:
-                if tnode.payoff != want:
+                if payoffs[paid[0]] != want:
                     raise AlgebraInconsistencyError(
-                        f"leaf {nid} pays {tnode.payoff}, extraction wanted {want}"
+                        f"leaf {nid} pays {payoffs[paid[0]]}, extraction wanted {want}"
                     )
                 leaves_paid.add(paid)
-            if gid != nid:
-                copies[gid] = tnode
             continue
-        x, kids = tnode.controller, tnode.children
+        x = controller[nid]
         last = len(kids) - 1
         # The first link's right-hand set, and (m > 2) the later links'.
         ur, rights = by_node[kids[last]], None
@@ -404,7 +407,7 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
             if step is None:
                 at_start = nid == node and k == 1
                 step = steps[key] = (want, *_extraction_step(
-                    set_map.grid, floor, x, ul, ur, want, nid, at_start
+                    grid, has, floor, x, ul, ur, want, nid, at_start
                 ))
             if rights:
                 ur = rights.pop()
@@ -427,28 +430,35 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
             child = split(gid, last, child, want)
         if reach is not None:
             entries += ((child, reach),)
-        choices[gid] = entries
-        if gid != nid or gid in moved:
-            ids = list(kids)
-            for k, cid in moved.get(gid, ()):
-                ids[k] = cid
-            copies[gid] = Internal(x, tuple(ids))
+        # A lone entry has probability one; a mix leaves two or more.
+        if len(entries) == 1:
+            pure[gid] = entries[0][0]
+        else:
+            mixed[gid] = entries
+    strategy = Strategy(pure, mixed)
     if not origin:
-        game = tree if node == tree.root else GameTree(node, nodes)
-        return Extraction(game, Strategy(choices), origin)
-    split = {nid: copies.get(nid, nodes[nid]) for nid in asked}
-    split.update((cid, copies[cid]) for cid in origin)
-    return Extraction(GameTree(node, split), Strategy(choices), origin)
+        game = tree if node == tree.root else replace(tree, root=node)
+        return Extraction(game, strategy, origin)
+    # The split game: each node asked for one target keeps its id, each
+    # copy has its own, and parents point to the copies they were given.
+    source = {gid: origin.get(gid, gid) for gid in itertools.chain(asked, origin)}
+    links = {gid: children[s] for gid, s in source.items() if s in children}
+    links.update((gid, tuple(kids)) for gid, kids in moved.items())
+    leaves = {gid: leaf[s] for gid, s in source.items() if s in leaf}
+    game = GameTree(node, {gid: controller[source[gid]] for gid in links}, links, leaves, payoffs)
+    game.__dict__["_post_order"] = _dag_post_order(links, node)  # GameTree's cached walk
+    return Extraction(game, strategy, origin)
 
 
-def _extraction_step(grid, floor, x, ul, ur, want, nid, at_start):
+def _extraction_step(grid, has, floor, x, ul, ur, want, nid, at_start):
     """One extraction decision at a link of node `nid`: (_LEFT, _RIGHT or the
-    mixing probabilities, left target, right target). `floor(u, x)` is the
-    set's minimal point for player x, the punishment target."""
+    mixing probabilities, left target, right target). `has(u, point)` is
+    set membership and `floor(u, x)` the set's minimal point for player x,
+    the punishment target."""
     want_x = want.component(x)
-    if contains(ul, want) and want_x >= floor(ur, x).component(x):
+    if has(ul, want) and want_x >= floor(ur, x).component(x):
         return _LEFT, want, floor(ur, x)
-    if contains(ur, want) and want_x >= floor(ul, x).component(x):
+    if has(ur, want) and want_x >= floor(ul, x).component(x):
         return _RIGHT, floor(ul, x), want
     # Mixed case: both children must offer the controller exactly
     # want_x, with the other player's payoffs bracketing the target.
@@ -488,7 +498,7 @@ def _solve(tree: GameTree, criterion: str, deterministic: bool) -> SolveResult:
         strategy=strategy,
         root_ups=root_ups,
         stats=SolveStats(
-            nodes=len(tree.nodes),
+            nodes=len(tree),
             merges=set_map.merges,
             distinct_merges=set_map.distinct_merges,
             flag_ops=set_map.flag_ops,

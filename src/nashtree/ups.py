@@ -67,7 +67,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .gametree import GameTree, Leaf, PayoffVector
+from .gametree import GameTree, PayoffVector
 from .rationals import format_rational
 
 
@@ -178,20 +178,16 @@ def _same_grid(a: Ups, b: Ups) -> None:
 
 
 def build_grid(tree: GameTree) -> PayoffGrid:
-    """Sorted, deduplicated per-player leaf payoff lists of a tree.
+    """Sorted, deduplicated per-player payoff lists of a tree's leaves.
 
-    Generated trees share payoff objects between leaves, so each distinct
-    object is read once before any `Fraction` is hashed.
+    Each entry of the payoff table that a leaf uses is read once, before
+    any `Fraction` is hashed.
     """
-    payoffs = {
-        id(node.payoff): node.payoff
-        for node in tree.nodes.values()
-        if isinstance(node, Leaf)
-    }
+    payoffs = [tree.payoffs[i] for i in set(tree.leaf.values())]
     if not payoffs:
         raise ValueError("tree has no leaves")
-    xs = {v.p1 for v in payoffs.values()}
-    ys = {v.p2 for v in payoffs.values()}
+    xs = {v.p1 for v in payoffs}
+    ys = {v.p2 for v in payoffs}
     return PayoffGrid(tuple(sorted(xs)), tuple(sorted(ys)))
 
 
@@ -252,19 +248,23 @@ def _locate(axis: tuple[Fraction, ...], v) -> tuple[int, int]:
     return _OUT, -1
 
 
-def contains(a: Ups, point: PayoffVector) -> bool:
-    """Exact membership of a point in the represented set (`a` saturated)."""
-    grid = a.grid
+def flag_position(grid: PayoffGrid, point: PayoffVector) -> tuple[str, int]:
+    """The flag grid (`"p"`, `"l1"`, `"l2"` or `"d"`) and the bit of the
+    basis element whose relative interior holds `point`; off the grid, a
+    bit past every flag."""
     kx, i = _locate(grid.u1, point.p1)
     ky, j = _locate(grid.u2, point.p2)
     if kx == _OUT or ky == _OUT:
-        return False
-    bit = i * grid.n2 + j
+        return "p", grid.n1 * grid.n2
     if kx == _ON:
-        source = a.p if ky == _ON else a.l2
-    else:
-        source = a.l1 if ky == _ON else a.d
-    return bool(source >> bit & 1)
+        return ("p" if ky == _ON else "l2"), i * grid.n2 + j
+    return ("l1" if ky == _ON else "d"), i * grid.n2 + j
+
+
+def contains(a: Ups, point: PayoffVector) -> bool:
+    """Exact membership of a point in the represented set (`a` saturated)."""
+    kind, bit = flag_position(a.grid, point)
+    return bool(getattr(a, kind) >> bit & 1)
 
 
 def _player_lanes(grid: PayoffGrid, x: int) -> _Lanes:

@@ -3,19 +3,24 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Union
 
 from nashtree.experiment import ExperimentConfig, HandRecord
 from nashtree.gametree import (
     GameTree,
-    Internal,
-    Leaf,
-    Node,
+    GtreeParseError,
     PayoffVector,
     Strategy,
+    _error,
+    _hard_violations,
+    _is_tree,
+    _positive_int,
+    _rational,
     binarize,
     evaluate,
-    pure_strategy,
+    validate,
 )
 from nashtree.ohoh import Deal, OhohConfig, build_tree, deal, legal_cards, score, trick_winner
 from nashtree.oracle import STRATEGY_CAP
@@ -37,6 +42,78 @@ from nashtree.ups import (
     ups_from_flags,
 )
 
+ONE = Fraction(1)
+
+
+# -- per-node vocabulary for hand-built and inspected games ---------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Internal:
+    controller: int
+    children: tuple[int, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Leaf:
+    payoff: PayoffVector
+
+
+Node = Union[Internal, Leaf]
+
+
+def game_tree(root: int, nodes: dict[int, Node]) -> GameTree:
+    """The GameTree of {id: Internal | Leaf}; leaves holding one payoff
+    object share one payoff index."""
+    controller: dict[int, int] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    leaf: dict[int, int] = {}
+    index: dict[int, int] = {}
+    payoffs: list[PayoffVector] = []
+    for nid, node in nodes.items():
+        if isinstance(node, Internal):
+            controller[nid] = node.controller
+            children[nid] = node.children
+        else:
+            i = index.get(id(node.payoff))
+            if i is None:
+                i = index[id(node.payoff)] = len(payoffs)
+                payoffs.append(node.payoff)
+            leaf[nid] = i
+    return GameTree(root, controller, children, leaf, tuple(payoffs))
+
+
+def nodes_of(tree: GameTree) -> dict[int, Node]:
+    """{id: Internal | Leaf} of a GameTree, ids ascending; a Leaf holds the
+    tree's own payoff object."""
+    nodes: dict[int, Node] = {}
+    for nid in sorted(tree.children.keys() | tree.leaf.keys()):
+        kids = tree.children.get(nid)
+        if kids is None:
+            nodes[nid] = Leaf(tree.payoffs[tree.leaf[nid]])
+        else:
+            nodes[nid] = Internal(tree.controller[nid], kids)
+    return nodes
+
+
+def strategy_of(choices: dict[int, tuple[tuple[int, Fraction], ...]]) -> Strategy:
+    """The Strategy of {node: ((child, probability), ...)}: a lone entry
+    with probability one is a pure choice."""
+    pure: dict[int, int] = {}
+    mixed: dict[int, tuple[tuple[int, Fraction], ...]] = {}
+    for nid, entries in choices.items():
+        if len(entries) == 1 and entries[0][1] == 1:
+            pure[nid] = entries[0][0]
+        else:
+            mixed[nid] = entries
+    return Strategy(pure, mixed)
+
+
+def choices_of(strategy: Strategy) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+    """{node: ((child, probability), ...)} of a Strategy; a pure choice is
+    one entry with probability one."""
+    return {nid: ((child, ONE),) for nid, child in strategy.pure.items()} | strategy.mixed
+
 
 def pv(a, b) -> PayoffVector:
     return PayoffVector(Fraction(a), Fraction(b))
@@ -52,6 +129,11 @@ def random_mary_tree(rng: random.Random) -> GameTree:
     Random recursive trees have many one-child nodes, so arity-1 chains
     are common; payoffs come from a 3 x 3 grid, so equal subtrees are too.
     """
+    return game_tree(*random_mary_nodes(rng))
+
+
+def random_mary_nodes(rng: random.Random) -> tuple[int, dict[int, Node]]:
+    """`random_mary_tree`'s root and {id: Internal | Leaf}, in the order drawn."""
     size = rng.randint(1, 30)
     parent = [None] + [rng.randrange(i) for i in range(1, size)]
     ids = rng.sample(range(1, 3 * size + 1), size)
@@ -64,19 +146,20 @@ def random_mary_tree(rng: random.Random) -> GameTree:
         else Leaf(pv(rng.randrange(3), rng.randrange(3)))
         for i in range(size)
     }
-    return GameTree(ids[0], nodes)
+    return ids[0], nodes
 
 
 def share(tree: GameTree) -> GameTree:
     """The tree as a game DAG: equal subtrees become one node (hash-consing)."""
     ids: dict[Node, int] = {}
     dag_id: dict[int, int] = {}
+    nodes = nodes_of(tree)
     for nid in tree.post_order():
-        node = tree.nodes[nid]
+        node = nodes[nid]
         if isinstance(node, Internal):
             node = Internal(node.controller, tuple(dag_id[c] for c in node.children))
         dag_id[nid] = ids.setdefault(node, len(ids) + 1)
-    return GameTree(dag_id[tree.root], {i: node for node, i in ids.items()})
+    return game_tree(dag_id[tree.root], {i: node for node, i in ids.items()})
 
 
 def random_grid(rng: random.Random, max_side: int = 6, value_range: int = 12) -> PayoffGrid:
@@ -161,8 +244,8 @@ def reference_hand_record(config: ExperimentConfig, seed: int) -> HandRecord:
     assert evaluate(work, strategy)[work.root] == social_target
     return HandRecord(
         seed=seed,
-        tree_nodes=len(raw.nodes),
-        solved_nodes=len(work.nodes),
+        tree_nodes=len(raw),
+        solved_nodes=len(work),
         n1=set_map.grid.n1,
         n2=set_map.grid.n2,
         any_value=any_nash(work).value,
@@ -183,14 +266,14 @@ def reference_pure_spe(
     Works on any arity. Raises ValueError beyond `cap` strategies.
     """
     order = list(tree.post_order())
-    internals = [nid for nid in order if isinstance(tree.nodes[nid], Internal)]
-    child_lists = [tree.nodes[nid].children for nid in internals]
+    nodes = nodes_of(tree)
+    internals = [nid for nid in order if isinstance(nodes[nid], Internal)]
+    child_lists = [nodes[nid].children for nid in internals]
     total = 1
     for kids in child_lists:
         total *= len(kids)
         if total > cap:
             raise ValueError(f"more than {cap} pure strategies, refusing to enumerate")
-    nodes = tree.nodes
     found: dict[PayoffVector, Strategy] = {}
     for combo in itertools.product(*child_lists):
         choice = dict(zip(internals, combo))
@@ -210,7 +293,7 @@ def reference_pure_spe(
         if ok:
             value = values[tree.root]
             if value not in found:
-                found[value] = pure_strategy(choice)
+                found[value] = Strategy(choice)
     return found
 
 
@@ -275,4 +358,127 @@ def reference_build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
                 bid2_children.append(lead(1, hands, outcomes))
         contract1_children.append(intern(Internal(2, tuple(bid2_children))))
     root = intern(Internal(1, tuple(contract1_children)))
-    return GameTree(root, {nid: node for node, nid in ids.items()})
+    return game_tree(root, {nid: node for node, nid in ids.items()})
+
+
+def _content(lines: list[str]) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line without its comment, tokens) of each non-blank line."""
+    for lineno, raw in enumerate(lines, start=1):
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        if tokens:
+            yield lineno, body, tokens
+
+
+def reference_parse_game_tree(text: str) -> GameTree:
+    """`.gtree` text parsed the way `parse_game_tree` did before games were
+    stored as columns: Internal and Leaf objects, made into a GameTree last.
+
+    Raises GtreeParseError on syntax problems, duplicate ids, a missing or
+    repeated root declaration, dangling child references, shared or cyclic
+    children, and unreachable nodes. Single-child internal nodes are
+    accepted here; validate() still reports them.
+
+    Parsing takes time linear in the text: one pass over its tokens and a
+    linear structural check, with validate() run only to word an error.
+    Leaves whose payoff tokens are equal share one Leaf and PayoffVector,
+    and equal rational tokens share one Fraction, as in generated trees.
+    """
+    lines = text.splitlines()
+    content = _content(lines)
+    header = next(content, None)
+    if header is None:
+        raise GtreeParseError("empty input, expected header 'gtree v1'", 1, 1)
+    lineno, body, tokens = header
+    if tokens != ["gtree", "v1"]:
+        raise _error("expected header 'gtree v1'", lineno, body)
+    nodes: dict[int, Node] = {}
+    root: int | None = None
+    rationals: dict[str, Fraction] = {}
+    leaves: dict[tuple[str, str], Leaf] = {}
+    for lineno, body, tokens in content:
+        word = tokens[0]
+        if word == "node":
+            if len(tokens) < 6 or tokens[2] != "player" or tokens[4] != "children":
+                raise _error(
+                    "expected 'node <id> player <1|2> children <id> [...]'", lineno, body
+                )
+            nid = _positive_int(tokens, 1, "node id", lineno, body)
+            if nid in nodes:
+                raise _error(f"duplicate id {nid}", lineno, body, 1)
+            player = tokens[3]
+            if player != "1" and player != "2":
+                raise _error(f"player must be 1 or 2, got {player!r}", lineno, body, 3)
+            children = tuple(
+                [_positive_int(tokens, k, "child id", lineno, body) for k in range(5, len(tokens))]
+            )
+            nodes[nid] = Internal(int(player), children)
+        elif word == "leaf":
+            if len(tokens) != 5 or tokens[2] != "payoff":
+                raise _error("expected 'leaf <id> payoff <rat> <rat>'", lineno, body)
+            nid = _positive_int(tokens, 1, "leaf id", lineno, body)
+            if nid in nodes:
+                raise _error(f"duplicate id {nid}", lineno, body, 1)
+            key = (tokens[3], tokens[4])
+            leaf = leaves.get(key)
+            if leaf is None:
+                p1 = _rational(tokens, 3, rationals, lineno, body)
+                p2 = _rational(tokens, 4, rationals, lineno, body)
+                leaf = leaves[key] = Leaf(PayoffVector(p1, p2))
+            nodes[nid] = leaf
+        elif word == "root":
+            if len(tokens) != 2:
+                raise _error("expected 'root <id>'", lineno, body)
+            if root is not None:
+                raise _error("duplicate root declaration", lineno, body)
+            root = _positive_int(tokens, 1, "root id", lineno, body)
+        else:
+            raise _error(f"unknown directive {word!r}", lineno, body)
+    if root is None:
+        raise GtreeParseError("missing root declaration", len(lines) or 1, 1)
+    tree = game_tree(root, nodes)
+    if not _is_tree(tree):
+        hard = _hard_violations(validate(tree))
+        raise GtreeParseError("; ".join(hard), len(lines) or 1, 1)
+    return tree
+
+
+def reference_parse_strategy(text: str) -> dict[int, tuple[tuple[int, Fraction], ...]]:
+    """Strategy text parsed the way `parse_strategy` did before pure
+    choices were stored as child ids: every node's (child, probability)
+    entries.
+
+    Like parse_game_tree, one pass over the tokens; equal probability
+    tokens share one Fraction.
+    """
+    content = _content(text.splitlines())
+    header = next(content, None)
+    if header is None:
+        raise GtreeParseError("empty input, expected header 'strategy v1'", 1, 1)
+    lineno, body, tokens = header
+    if tokens != ["strategy", "v1"]:
+        raise _error("expected header 'strategy v1'", lineno, body)
+    choices: dict[int, tuple[tuple[int, Fraction], ...]] = {}
+    rationals: dict[str, Fraction] = {}
+    for lineno, body, tokens in content:
+        if tokens[0] != "at":
+            raise _error(f"expected 'at', got {tokens[0]!r}", lineno, body)
+        if len(tokens) < 6 or tokens[2] != "choose":
+            raise _error(
+                "expected 'at <id> choose <child> prob <rat> [<child> prob <rat> ...]'",
+                lineno,
+                body,
+            )
+        nid = _positive_int(tokens, 1, "node id", lineno, body)
+        if nid in choices:
+            raise _error(f"duplicate 'at {nid}' line", lineno, body)
+        if len(tokens) % 3:
+            raise _error("incomplete '<child> prob <rat>' group", lineno, body)
+        entries = []
+        for k in range(3, len(tokens), 3):
+            if tokens[k + 1] != "prob":
+                raise _error(f"expected 'prob', got {tokens[k + 1]!r}", lineno, body, k + 1)
+            child = _positive_int(tokens, k, "child id", lineno, body)
+            entries.append((child, _rational(tokens, k + 2, rationals, lineno, body)))
+        choices[nid] = tuple(entries)
+    return choices

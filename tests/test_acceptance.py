@@ -12,7 +12,7 @@ import pytest
 
 from nashtree.experiment import ExperimentConfig, run_experiment
 from nashtree.gametree import binarize, evaluate, is_equilibrium
-from nashtree.ohoh import OhohConfig, build_tree, deal
+from nashtree.ohoh import OhohConfig, build_dag, build_tree, deal
 from nashtree.oracle import (
     brute_merge,
     cross_validate,
@@ -21,8 +21,10 @@ from nashtree.oracle import (
     random_tree,
 )
 from nashtree.solver import (
+    CRITERIA,
     any_nash,
     best_nash,
+    compute_det_ups_all,
     compute_ups_all,
     criterion_value,
     extract_strategy,
@@ -39,7 +41,7 @@ from nashtree.ups import (
     ups_from_flags,
 )
 
-from .helpers import pv, random_grid, random_saturated_ups
+from .helpers import choices_of, pv, random_grid, random_saturated_ups
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:
@@ -153,7 +155,7 @@ def test_criterion_5_mixing_required_tree_found():
         best_pure = max(v.p1 + v.p2 for v in enumerate_pure_spe(tree))
         strictly_better = result.value.p1 + result.value.p2 > best_pure
         mixes = any(
-            0 < p < 1 for entry in result.strategy.choices.values() for _, p in entry
+            0 < p < 1 for entry in choices_of(result.strategy).values() for _, p in entry
         )
         verified = (
             is_equilibrium(tree, result.strategy).ok
@@ -190,10 +192,32 @@ def test_criterion_6_ohoh_qualitative_reproduction(ohoh_experiment):
     assert ok, detail
 
 
+def test_criterion_6_companion_full_and_deterministic_optima_agree():
+    # Evidence for the structural zero behind criterion 6's social gap
+    # (ROADMAP item 1): on every 1-3-card hand of seeds 0-199, flat and
+    # mirror, mixing attains no root optimum that a pure equilibrium misses,
+    # under any criterion.
+    hands = differ = 0
+    for cards in (1, 2, 3):
+        for mode in ("flat", "mirror"):
+            config = OhohConfig(cards, mode)
+            for seed in range(200):
+                dag = build_dag(deal(config, seed), config)
+                full = compute_ups_all(dag).by_node[dag.root]
+                det = compute_det_ups_all(dag).by_node[dag.root]
+                hands += 1
+                differ += any(
+                    select_optimal(full, c) != select_optimal(det, c) for c in CRITERIA
+                )
+    ok = hands == 1200 and differ == 0
+    _verdict(6, ok, f"{hands} hands, full and deterministic optima differ on {differ}")
+    assert ok
+
+
 def test_criterion_7_five_card_scale_and_cost():
     config = OhohConfig(5, "flat")
     raw = build_tree(deal(config, 0), config)
-    size_ok = 200_000 <= len(raw.nodes) <= 800_000
+    size_ok = 200_000 <= len(raw) <= 800_000
     start = time.perf_counter()
     work = binarize(raw)
     result = best_nash(work, "social")
@@ -206,7 +230,7 @@ def test_criterion_7_five_card_scale_and_cost():
     _verdict(
         7,
         ok,
-        f"raw {len(raw.nodes)} nodes, solve {elapsed:.1f} s, "
+        f"raw {len(raw)} nodes, solve {elapsed:.1f} s, "
         f"merges {result.stats.merges} == internal {internal}: {merges_ok}, "
         f"flag work/merge <= 96*n1*n2: {work_ok}",
     )
@@ -220,7 +244,7 @@ def test_criterion_7_companion_raw_tree_solved_in_place():
     config = OhohConfig(5, "flat")
     raw = build_tree(deal(config, 0), config)
     result = best_nash(raw, "social")
-    assert result.stats.nodes == len(raw.nodes)
+    assert result.stats.nodes == len(raw)
     assert result.stats.merges == len(binarize(raw).internal_ids())
     grid = result.root_ups.grid
     assert result.stats.flag_ops <= 96 * result.stats.distinct_merges * grid.n1 * grid.n2

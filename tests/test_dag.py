@@ -15,8 +15,6 @@ import pytest
 
 from nashtree.gametree import (
     GameTree,
-    Internal,
-    Leaf,
     binarize,
     evaluate,
     is_equilibrium,
@@ -39,7 +37,16 @@ from nashtree.solver import (
 )
 from nashtree.ups import equal_ups
 
-from .helpers import pv, random_mary_tree, reference_build_dag, share
+from .helpers import (
+    Internal,
+    Leaf,
+    game_tree,
+    nodes_of,
+    pv,
+    random_mary_tree,
+    reference_build_dag,
+    share,
+)
 
 FLAT4 = OhohConfig(4, "flat")
 
@@ -68,7 +75,7 @@ def _text(tree: GameTree) -> str:
 # A node reached twice: the root's children are A (id 2) and B (id 3), and
 # B is also A's first child. A depth-first preorder that skips repeats,
 # reversed, puts A before its child B.
-DIAMOND = GameTree(
+DIAMOND = game_tree(
     1,
     {
         1: Internal(1, (2, 3)),
@@ -84,10 +91,11 @@ class TestWalks:
     def test_post_order_visits_each_node_once_children_first(self):
         for dag in [DIAMOND] + [share(t) for t in _random_trees(200)]:
             order = list(dag.post_order())
-            assert sorted(order) == sorted(dag.nodes)
+            nodes = nodes_of(dag)
+            assert sorted(order) == sorted(nodes)
             seen = set()
             for nid in order:
-                node = dag.nodes[nid]
+                node = nodes[nid]
                 if isinstance(node, Internal):
                     assert seen.issuperset(node.children)
                 seen.add(nid)
@@ -97,9 +105,10 @@ class TestWalks:
         # Children first to last, then the node: the preorder ids of a tree
         # make that the order in which each subtree is closed.
         expected = []
+        nodes = nodes_of(tree)
 
         def close(nid):
-            node = tree.nodes[nid]
+            node = nodes[nid]
             if isinstance(node, Internal):
                 for child in node.children:
                     close(child)
@@ -127,7 +136,7 @@ class TestWalks:
         shared = 0
         for tree in _random_trees(200):
             dag = share(tree)
-            shared += len(dag.nodes) < len(tree.nodes)
+            shared += len(dag) < len(tree)
             assert _text(dag) == _text(tree)
         assert shared > 100
 
@@ -136,18 +145,18 @@ class TestCostContract:
     def test_counts_are_those_of_the_tree_and_its_binarization(self):
         chains = 0
         for tree in _random_trees(300):
-            expected = (len(tree.nodes), len(binarize(tree).nodes))
+            expected = (len(tree), len(binarize(tree)))
             assert tree_sizes(tree) == expected
             assert tree_sizes(share(tree)) == expected
             chains += any(
-                isinstance(n, Internal) and len(n.children) == 1 for n in tree.nodes.values()
+                isinstance(n, Internal) and len(n.children) == 1 for n in nodes_of(tree).values()
             )
         assert chains > 100
 
     def test_card_hand_merges_once_per_distinct_link(self):
         dag = build_dag(deal(FLAT4, 0), FLAT4)
         links = sum(
-            len(n.children) - 1 for n in dag.nodes.values() if isinstance(n, Internal)
+            len(n.children) - 1 for n in nodes_of(dag).values() if isinstance(n, Internal)
         )
         set_map = compute_ups_all(dag)
         assert set_map.merges == links
@@ -170,21 +179,23 @@ class TestCardGameDag:
             hand = deal(config, seed)
             dag, expected = build_dag(hand, config), reference_build_dag(hand, config)
             assert dag.root == expected.root
-            assert dag.nodes == expected.nodes
-            assert list(dag.nodes) == list(expected.nodes)
+            assert nodes_of(dag) == nodes_of(expected)
+            assert list(nodes_of(dag)) == list(nodes_of(expected))
 
     @ON_BUILDER_HANDS
     def test_post_order_lists_each_node_once_children_first(self, config, seeds):
         for seed in seeds:
             dag = build_dag(deal(config, seed), config)
             order = list(dag.post_order())
-            assert sorted(order) == sorted(dag.nodes)
+            nodes = nodes_of(dag)
+            assert sorted(order) == sorted(nodes)
             assert order[-1] == dag.root
             # The builder hands its order over; a fresh walk reaches every node.
-            assert len(list(GameTree(dag.root, dag.nodes).post_order())) == len(order)
+            fresh = GameTree(dag.root, dag.controller, dag.children, dag.leaf, dag.payoffs)
+            assert len(list(fresh.post_order())) == len(order)
             seen = set()
             for nid in order:
-                node = dag.nodes[nid]
+                node = nodes[nid]
                 if isinstance(node, Internal):
                     assert seen.issuperset(node.children)
                 seen.add(nid)
@@ -192,10 +203,10 @@ class TestCardGameDag:
     def test_every_node_is_reachable_and_distinct(self):
         for seed in range(5):
             dag = build_dag(deal(FLAT4, seed), FLAT4)
-            assert len(list(dag.post_order())) == len(dag.nodes)
-            assert len(set(dag.nodes.values())) == len(dag.nodes)
+            assert len(list(dag.post_order())) == len(dag)
+            assert len(set(nodes_of(dag).values())) == len(dag)
             tree_nodes, _ = tree_sizes(dag)
-            assert tree_nodes > 5 * len(dag.nodes)
+            assert tree_nodes > 5 * len(dag)
 
 
 class TestSolvingDags:
@@ -208,7 +219,7 @@ class TestSolvingDags:
             det_dag, det_tree = compute_det_ups_all(dag), compute_det_ups_all(tree)
             assert equal_ups(det_dag.by_node[dag.root], det_tree.by_node[tree.root])
             assert full_dag.merges == sum(
-                len(n.children) - 1 for n in dag.nodes.values() if isinstance(n, Internal)
+                len(n.children) - 1 for n in nodes_of(dag).values() if isinstance(n, Internal)
             )
             for criterion in CRITERIA:
                 assert best_nash(tree, criterion).value == select_optimal(

@@ -4,10 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nashtree.gametree import (
-    GameTree,
     GtreeParseError,
-    Internal,
-    Leaf,
     MissingStrategyError,
     PayoffVector,
     Strategy,
@@ -17,32 +14,31 @@ from nashtree.gametree import (
     is_equilibrium,
     parse_game_tree,
     parse_strategy,
-    pure_strategy,
     serialize_game_tree,
     serialize_strategy,
     validate,
 )
 from nashtree.oracle import random_tree
 
-from .helpers import pv
+from .helpers import Internal, Leaf, choices_of, game_tree, nodes_of, pv, strategy_of
 
 HALF = Fraction(1, 2)
 
 
 class TestParseGameTree:
     def test_demo_file(self, demo_tree):
-        assert len(demo_tree.nodes) == 5
+        assert len(demo_tree) == 5
         assert demo_tree.root == 1
-        assert demo_tree.nodes[1] == Internal(2, (2, 3))
-        assert demo_tree.nodes[2] == Internal(1, (4, 5))
-        assert demo_tree.nodes[4] == Leaf(pv(2, 3))
-        assert demo_tree.nodes[5] == Leaf(pv(2, 100))
-        assert demo_tree.nodes[3] == Leaf(pv(1000, 4))
+        assert nodes_of(demo_tree)[1] == Internal(2, (2, 3))
+        assert nodes_of(demo_tree)[2] == Internal(1, (4, 5))
+        assert nodes_of(demo_tree)[4] == Leaf(pv(2, 3))
+        assert nodes_of(demo_tree)[5] == Leaf(pv(2, 100))
+        assert nodes_of(demo_tree)[3] == Leaf(pv(1000, 4))
 
     def test_single_leaf(self):
         tree = parse_game_tree("gtree v1\nleaf 1 payoff 0 0\nroot 1\n")
-        assert len(tree.nodes) == 1
-        assert tree.nodes[1] == Leaf(pv(0, 0))
+        assert len(tree) == 1
+        assert nodes_of(tree)[1] == Leaf(pv(0, 0))
 
     def test_dangling_child(self):
         text = "gtree v1\nroot 1\nnode 1 player 1 children 2 3\nleaf 2 payoff 0 0\n"
@@ -106,7 +102,7 @@ class TestParseGameTree:
             "leaf 1 payoff -3/2 7/3\n"
         )
         tree = parse_game_tree(text)
-        assert tree.nodes[1] == Leaf(PayoffVector(Fraction(-3, 2), Fraction(7, 3)))
+        assert nodes_of(tree)[1] == Leaf(PayoffVector(Fraction(-3, 2), Fraction(7, 3)))
 
     def test_single_child_node_is_accepted(self):
         # Forced moves parse; validate() still reports them.
@@ -156,16 +152,16 @@ class TestValidate:
             5: Leaf(pv(0, 1)),
             6: Leaf(pv(1, 0)),
         }
-        report = validate(GameTree(1, nodes))
+        report = validate(game_tree(1, nodes))
         assert any("unreachable" in v for v in report)
 
     def test_undeclared_root(self):
-        report = validate(GameTree(9, {1: Leaf(pv(0, 0))}))
+        report = validate(game_tree(9, {1: Leaf(pv(0, 0))}))
         assert report == ["root 9 is not a declared node"]
 
     def test_root_with_parent_is_a_cycle(self):
         nodes = {1: Internal(1, (2, 3)), 2: Internal(2, (1, 3)), 3: Leaf(pv(0, 0))}
-        report = validate(GameTree(1, nodes))
+        report = validate(game_tree(1, nodes))
         assert any("cycle" in v for v in report)
         assert any("multiple parents" in v or "root 1 has a parent" in v for v in report)
 
@@ -178,9 +174,9 @@ class TestBinarize:
             3: Leaf(pv(2, 0)),
             4: Leaf(pv(3, 0)),
         }
-        out = binarize(GameTree(1, nodes))
-        assert out.nodes[1] == Internal(2, (2, 5))
-        assert out.nodes[5] == Internal(2, (3, 4))
+        out = binarize(game_tree(1, nodes))
+        assert nodes_of(out)[1] == Internal(2, (2, 5))
+        assert nodes_of(out)[5] == Internal(2, (3, 4))
         assert out.is_binary()
         assert len(out.internal_ids()) == 2
 
@@ -188,10 +184,10 @@ class TestBinarize:
         nodes = {1: Internal(1, (2, 3, 4, 5))} | {
             i: Leaf(pv(i, 0)) for i in (2, 3, 4, 5)
         }
-        out = binarize(GameTree(1, nodes))
-        assert out.nodes[1] == Internal(1, (2, 6))
-        assert out.nodes[6] == Internal(1, (3, 7))
-        assert out.nodes[7] == Internal(1, (4, 5))
+        out = binarize(game_tree(1, nodes))
+        assert nodes_of(out)[1] == Internal(1, (2, 6))
+        assert nodes_of(out)[6] == Internal(1, (3, 7))
+        assert nodes_of(out)[7] == Internal(1, (4, 5))
 
     def test_already_binary_unchanged(self, demo_tree):
         assert binarize(demo_tree) == demo_tree
@@ -204,15 +200,15 @@ class TestBinarize:
             5: Leaf(pv(7, 7)),
             3: Leaf(pv(0, 0)),
         }
-        out = binarize(GameTree(1, nodes))
-        assert out.nodes[1] == Internal(1, (5, 3))
-        assert set(out.nodes) == {1, 3, 5}
+        out = binarize(game_tree(1, nodes))
+        assert nodes_of(out)[1] == Internal(1, (5, 3))
+        assert set(nodes_of(out)) == {1, 3, 5}
 
     def test_forced_root_spliced(self):
         nodes = {1: Internal(1, (2,)), 2: Leaf(pv(3, 4))}
-        out = binarize(GameTree(1, nodes))
+        out = binarize(game_tree(1, nodes))
         assert out.root == 2
-        assert out.nodes == {2: Leaf(pv(3, 4))}
+        assert nodes_of(out) == {2: Leaf(pv(3, 4))}
 
     def test_leaves_preserved_on_random_mary_trees(self):
         for seed in range(30):
@@ -223,19 +219,19 @@ class TestBinarize:
             assert validate(out) == []
             before = sorted(
                 (n.payoff.p1, n.payoff.p2)
-                for n in tree.nodes.values()
+                for n in nodes_of(tree).values()
                 if isinstance(n, Leaf)
             )
             after = sorted(
                 (n.payoff.p1, n.payoff.p2)
-                for n in out.nodes.values()
+                for n in nodes_of(out).values()
                 if isinstance(n, Leaf)
             )
             assert before == after
 
 
 def _mixed_strategy(node1_p2: Fraction, node2_p5: Fraction) -> Strategy:
-    return Strategy(
+    return strategy_of(
         {
             1: ((2, node1_p2), (3, 1 - node1_p2)),
             2: ((4, 1 - node2_p5), (5, node2_p5)),
@@ -251,18 +247,18 @@ class TestEvaluate:
     def test_leaves_evaluate_to_their_payoffs(self, demo_tree):
         values = evaluate(demo_tree, _mixed_strategy(HALF, HALF))
         for nid in (3, 4, 5):
-            assert values[nid] == demo_tree.nodes[nid].payoff
+            assert values[nid] == nodes_of(demo_tree)[nid].payoff
 
     def test_pure_commitment_value(self, demo_tree):
-        values = evaluate(demo_tree, pure_strategy({1: 3, 2: 4}))
+        values = evaluate(demo_tree, Strategy({1: 3, 2: 4}))
         assert values[demo_tree.root] == pv(1000, 4)
 
     def test_missing_entry_raises(self, demo_tree):
         with pytest.raises(MissingStrategyError):
-            evaluate(demo_tree, Strategy({1: ((2, Fraction(1)),)}))
+            evaluate(demo_tree, strategy_of({1: ((2, Fraction(1)),)}))
 
     def test_non_child_raises(self, demo_tree):
-        bad = Strategy({1: ((4, Fraction(1)),), 2: ((4, Fraction(1)),)})
+        bad = strategy_of({1: ((4, Fraction(1)),), 2: ((4, Fraction(1)),)})
         with pytest.raises(ValueError, match="non-child"):
             evaluate(demo_tree, bad)
 
@@ -274,21 +270,21 @@ class TestEvaluate:
             tree = random_tree(rng, rng.randint(1, 8))
             base = _random_strategy(rng, tree)
             nid = rng.choice(tree.internal_ids())
-            alt_a = dict(base.choices)
-            alt_b = dict(base.choices)
-            alt_a[nid] = _random_distribution(rng, tree.nodes[nid].children)
-            alt_b[nid] = _random_distribution(rng, tree.nodes[nid].children)
+            alt_a = dict(choices_of(base))
+            alt_b = dict(choices_of(base))
+            alt_a[nid] = _random_distribution(rng, tree.children[nid])
+            alt_b[nid] = _random_distribution(rng, tree.children[nid])
             lam = Fraction(rng.randint(0, 5), 5)
-            mixed = dict(base.choices)
+            mixed = dict(choices_of(base))
             probs_a = dict(alt_a[nid])
             probs_b = dict(alt_b[nid])
             mixed[nid] = tuple(
                 (c, lam * probs_a.get(c, Fraction(0)) + (1 - lam) * probs_b.get(c, Fraction(0)))
-                for c in tree.nodes[nid].children
+                for c in tree.children[nid]
             )
-            va = evaluate(tree, Strategy(alt_a))
-            vb = evaluate(tree, Strategy(alt_b))
-            vm = evaluate(tree, Strategy(mixed))
+            va = evaluate(tree, strategy_of(alt_a))
+            vb = evaluate(tree, strategy_of(alt_b))
+            vm = evaluate(tree, strategy_of(mixed))
             for probe in (nid, tree.root):
                 assert vm[probe].p1 == lam * va[probe].p1 + (1 - lam) * vb[probe].p1
                 assert vm[probe].p2 == lam * va[probe].p2 + (1 - lam) * vb[probe].p2
@@ -297,12 +293,12 @@ class TestEvaluate:
         rng = random.Random(11)
         for _ in range(25):
             tree = random_tree(rng, rng.randint(1, 8))
-            choice = {nid: rng.choice(tree.nodes[nid].children) for nid in tree.internal_ids()}
-            values = evaluate(tree, pure_strategy(choice))
+            choice = {nid: rng.choice(tree.children[nid]) for nid in tree.internal_ids()}
+            values = evaluate(tree, Strategy(choice))
             nid = tree.root
-            while isinstance(tree.nodes[nid], Internal):
+            while nid in tree.children:
                 nid = choice[nid]
-            assert values[tree.root] == tree.nodes[nid].payoff
+            assert values[tree.root] == nodes_of(tree)[nid].payoff
 
 
 def _random_distribution(rng, children):
@@ -314,26 +310,28 @@ def _random_distribution(rng, children):
 
 
 def _random_strategy(rng, tree) -> Strategy:
-    return Strategy(
-        {nid: _random_distribution(rng, tree.nodes[nid].children) for nid in tree.internal_ids()}
+    return strategy_of(
+        {nid: _random_distribution(rng, tree.children[nid]) for nid in tree.internal_ids()}
     )
 
 
 def _recheck_local_optimality(tree, strategy):
     # Independent re-derivation of the equilibrium condition, kept separate
     # from is_equilibrium on purpose.
+    nodes = nodes_of(tree)
+
     def value(nid):
-        node = tree.nodes[nid]
+        node = nodes[nid]
         if isinstance(node, Leaf):
             return (node.payoff.p1, node.payoff.p2)
         total = (Fraction(0), Fraction(0))
-        for child, prob in strategy.choices[nid]:
+        for child, prob in choices_of(strategy)[nid]:
             v = value(child)
             total = (total[0] + prob * v[0], total[1] + prob * v[1])
         return total
 
     for nid in tree.internal_ids():
-        node = tree.nodes[nid]
+        node = nodes[nid]
         own = value(nid)[node.controller - 1]
         for child in node.children:
             if value(child)[node.controller - 1] > own:
@@ -343,7 +341,7 @@ def _recheck_local_optimality(tree, strategy):
 
 class TestIsEquilibrium:
     def test_committed_strategy_is_equilibrium(self, demo_tree):
-        check = is_equilibrium(demo_tree, pure_strategy({1: 2, 2: 5}))
+        check = is_equilibrium(demo_tree, Strategy({1: 2, 2: 5}))
         assert check.ok and check.witness is None
         assert check.value == pv(2, 100)
 
@@ -355,7 +353,7 @@ class TestIsEquilibrium:
         assert check.value == evaluate(demo_tree, strategy)[1]
 
     def test_indifferent_mixing_below_is_equilibrium(self, demo_tree):
-        strategy = Strategy(
+        strategy = strategy_of(
             {1: ((2, Fraction(1)),), 2: ((4, HALF), (5, HALF))}
         )
         assert is_equilibrium(demo_tree, strategy).ok
@@ -381,9 +379,9 @@ class TestIsEquilibrium:
                     nid
                     for nid in tree.internal_ids()
                     if any(
-                        values[c].component(tree.nodes[nid].controller)
-                        > values[nid].component(tree.nodes[nid].controller)
-                        for c in tree.nodes[nid].children
+                        values[c].component(tree.controller[nid])
+                        > values[nid].component(tree.controller[nid])
+                        for c in tree.children[nid]
                     )
                 ),
                 None,
@@ -399,18 +397,18 @@ class TestStrategyFormat:
     def test_round_trip(self):
         text = "strategy v1\nat 1 choose 2 prob 1\nat 2 choose 4 prob 48/97 5 prob 49/97\n"
         strategy = parse_strategy(text)
-        assert strategy.choices[2] == (
+        assert choices_of(strategy)[2] == (
             (4, Fraction(48, 97)),
             (5, Fraction(49, 97)),
         )
         assert serialize_strategy(strategy) == text
 
     def test_zero_probabilities_omitted_on_output(self):
-        strategy = Strategy({1: ((2, Fraction(0)), (3, Fraction(1)))})
+        strategy = strategy_of({1: ((2, Fraction(0)), (3, Fraction(1)))})
         assert serialize_strategy(strategy) == "strategy v1\nat 1 choose 3 prob 1\n"
 
     def test_children_sorted_on_output(self):
-        strategy = Strategy({1: ((5, HALF), (2, HALF))})
+        strategy = strategy_of({1: ((5, HALF), (2, HALF))})
         assert "choose 2 prob 1/2 5 prob 1/2" in serialize_strategy(strategy)
 
     def test_matches_entry_by_entry_formatting(self):
@@ -430,7 +428,7 @@ class TestStrategyFormat:
             + " ".join(f"{c} prob {p}" for c, p in sorted(choices[nid]) if p != 0)
             for nid in sorted(choices)
         ]
-        assert serialize_strategy(Strategy(choices)) == "\n".join(expected) + "\n"
+        assert serialize_strategy(strategy_of(choices)) == "\n".join(expected) + "\n"
 
     def test_duplicate_at_rejected(self):
         text = "strategy v1\nat 1 choose 2 prob 1\nat 1 choose 3 prob 1\n"
@@ -442,17 +440,17 @@ class TestStrategyFormat:
             parse_strategy("strategy v1\nat 1 choose 2 prob\n")
 
     def test_check_strategy_reports_problems(self, demo_tree):
-        missing = Strategy({1: ((2, Fraction(1)),)})
+        missing = strategy_of({1: ((2, Fraction(1)),)})
         assert check_strategy(demo_tree, missing) == ["no entry for internal node 2"]
-        bad_sum = Strategy(
+        bad_sum = strategy_of(
             {1: ((2, HALF),), 2: ((4, Fraction(1)),)}
         )
         assert any("sum to 1/2" in p for p in check_strategy(demo_tree, bad_sum))
-        stranger = Strategy(
+        stranger = strategy_of(
             {1: ((3, Fraction(1)),), 2: ((3, Fraction(1)),)}
         )
         assert any("not a child" in p for p in check_strategy(demo_tree, stranger))
 
     def test_purity_predicate(self):
-        assert pure_strategy({1: 2}).is_pure()
-        assert not Strategy({1: ((2, HALF), (3, HALF))}).is_pure()
+        assert Strategy({1: 2}).is_pure()
+        assert not strategy_of({1: ((2, HALF), (3, HALF))}).is_pure()

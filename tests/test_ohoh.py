@@ -13,8 +13,6 @@ import pytest
 
 from nashtree.gametree import (
     GtreeParseError,
-    Internal,
-    Leaf,
     binarize,
     serialize_game_tree,
     validate,
@@ -35,7 +33,7 @@ from nashtree.ohoh import (
 from nashtree.ups import build_grid
 
 from .conftest import DATA
-from .helpers import digest
+from .helpers import Internal, Leaf, digest, nodes_of
 
 CFG4 = OhohConfig(4, "flat")
 BUILD_GOLDEN = DATA / "build_tree_digests.json"
@@ -146,9 +144,10 @@ class TestBuildTree:
         depths = {}
         leaf_depths = set()
         order = [(tree.root, 0)]
+        nodes = nodes_of(tree)
         while order:
             nid, depth = order.pop()
-            node = tree.nodes[nid]
+            node = nodes[nid]
             if isinstance(node, Leaf):
                 leaf_depths.add(depth)
             else:
@@ -159,7 +158,7 @@ class TestBuildTree:
         # Typical 4-card trees run around 15k raw nodes; rare dominated deals
         # (forced follows everywhere) dip to ~2.6k, so the band is checked on
         # the distribution rather than per deal.
-        sizes = [len(build_tree(deal(CFG4, seed), CFG4).nodes) for seed in range(100)]
+        sizes = [len(build_tree(deal(CFG4, seed), CFG4)) for seed in range(100)]
         assert 3_000 <= sum(sizes) / len(sizes) <= 50_000
         assert max(sizes) <= 50_000
         assert sum(1 for s in sizes if s >= 3_000) >= 95
@@ -167,11 +166,12 @@ class TestBuildTree:
     def test_contract_structure(self):
         cfg = OhohConfig(2, "flat")
         tree = build_tree(deal(cfg, 3), cfg)
-        root = tree.nodes[tree.root]
+        nodes = nodes_of(tree)
+        root = nodes[tree.root]
         assert isinstance(root, Internal) and root.controller == 1
         assert len(root.children) == cfg.cards_per_player + 1
         for second_bid in root.children:
-            node = tree.nodes[second_bid]
+            node = nodes[second_bid]
             assert node.controller == 2
             # One contract (the one summing to k) is excluded.
             assert len(node.children) == cfg.cards_per_player
@@ -180,7 +180,7 @@ class TestBuildTree:
         for mode in ("flat", "mirror"):
             cfg = OhohConfig(3, mode)
             tree = build_tree(deal(cfg, 17), cfg)
-            for node in tree.nodes.values():
+            for node in nodes_of(tree).values():
                 if isinstance(node, Leaf):
                     assert not (node.payoff.p1 > 0 and node.payoff.p2 > 0)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nashtree.gametree import Internal, Leaf, binarize, is_equilibrium, parse_game_tree
+from nashtree.gametree import binarize, is_equilibrium, parse_game_tree
 from nashtree.oracle import (
     MIXING_SEARCH_TIE_BIAS,
     MIXING_SEARCH_VALUES,
@@ -17,7 +17,7 @@ from nashtree.oracle import (
 from nashtree.solver import compute_ups_all
 from nashtree.ups import PayoffGrid, saturate, singleton_ups, ups_from_flags
 
-from .helpers import pv, reference_pure_spe
+from .helpers import Internal, Leaf, choices_of, nodes_of, pv, reference_pure_spe
 
 
 def _reference_corpus():
@@ -81,7 +81,7 @@ class TestEnumeratePureSpe:
             assert set(pure) == want
             internals = set(tree.internal_ids())
             for value, witness in pure.items():
-                assert witness.is_pure() and set(witness.choices) == internals
+                assert witness.is_pure() and set(choices_of(witness)) == internals
                 check = is_equilibrium(tree, witness)
                 assert check.ok and check.value == value
         assert checked > 1000
@@ -148,7 +148,7 @@ class TestRandomTrees:
             n = rng.randint(1, 9)
             arity = rng.choice((2, 3, 4))
             tree = random_tree(rng, n, max_arity=arity)
-            internals = [x for x in tree.nodes.values() if isinstance(x, Internal)]
+            internals = [x for x in nodes_of(tree).values() if isinstance(x, Internal)]
             assert len(internals) == n
             assert all(2 <= len(x.children) <= arity for x in internals)
 
@@ -160,20 +160,20 @@ class TestRandomTrees:
     def test_tie_bias_reuses_values(self):
         rng = random.Random(13)
         tree = random_tree(rng, 12, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9), tie_bias=0.9)
-        p1_values = [n.payoff.p1 for n in tree.nodes.values() if isinstance(n, Leaf)]
+        p1_values = [n.payoff.p1 for n in nodes_of(tree).values() if isinstance(n, Leaf)]
         assert len(set(p1_values)) < len(p1_values)
 
 
 class TestShrinkSurgery:
     def test_promote_child_replaces_subtree(self, demo_tree):
         shrunk = _promote_child(demo_tree, 2, 5)
-        assert shrunk.nodes[1] == Internal(2, (5, 3))
-        assert set(shrunk.nodes) == {1, 3, 5}
+        assert nodes_of(shrunk)[1] == Internal(2, (5, 3))
+        assert set(nodes_of(shrunk)) == {1, 3, 5}
 
     def test_promote_root_child(self, demo_tree):
         shrunk = _promote_child(demo_tree, 1, 2)
         assert shrunk.root == 2
-        assert set(shrunk.nodes) == {2, 4, 5}
+        assert set(nodes_of(shrunk)) == {2, 4, 5}
 
     def test_failures_shrink_to_a_minimal_tree(self, demo_tree, monkeypatch):
         # Inject a fake failure that persists while the (2,100) leaf exists;
@@ -186,7 +186,7 @@ class TestShrinkSurgery:
             report = real_checks(tree, seed, samples)
             poisoned = any(
                 isinstance(n, Leaf) and n.payoff == pv(2, 100)
-                for n in tree.nodes.values()
+                for n in nodes_of(tree).values()
             )
             if poisoned:
                 report.containment_ok = False

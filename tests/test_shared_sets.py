@@ -23,8 +23,6 @@ import threading
 
 from nashtree.gametree import (
     GameTree,
-    Internal,
-    Leaf,
     binarize,
     serialize_strategy,
 )
@@ -46,7 +44,7 @@ from nashtree.solver import (
 from nashtree.ups import build_grid, equal_ups, merge, merge_deterministic, singleton_ups
 
 from .conftest import DATA
-from .helpers import pv
+from .helpers import Internal, Leaf, game_tree, nodes_of, pv
 
 GOLDEN = DATA / "strategy_digests.json"
 HAND_SEEDS = range(40)
@@ -108,8 +106,9 @@ def _reference_sets(tree: GameTree, combine) -> dict:
     """Memo-free fold: one `combine` call per internal node, in post-order."""
     grid = build_grid(tree)
     sets = {}
+    nodes = nodes_of(tree)
     for nid in tree.post_order():
-        node = tree.nodes[nid]
+        node = nodes[nid]
         if isinstance(node, Leaf):
             sets[nid] = singleton_ups(grid, node.payoff)
         else:
@@ -132,7 +131,7 @@ def _tree(spec) -> GameTree:
             nodes[nid] = Internal(controller, (build(left), build(right)))
         return nid
 
-    return GameTree(build(spec), nodes)
+    return game_tree(build(spec), nodes)
 
 
 # Four leaves, with an indifference for player 1 and a tie for player 2.

@@ -34,7 +34,7 @@ from nashtree.ups import (
     ups_from_flags,
 )
 
-from .helpers import pv
+from .helpers import Leaf, choices_of, game_tree, nodes_of, pv
 
 
 class TestAnyNash:
@@ -42,8 +42,8 @@ class TestAnyNash:
         result = any_nash(demo_tree)
         # Player 1 ties at the lower node and takes the left child; player 2
         # then prefers the 4-payoff branch.
-        assert result.strategy.choices[2] == ((4, Fraction(1)),)
-        assert result.strategy.choices[1] == ((3, Fraction(1)),)
+        assert choices_of(result.strategy)[2] == ((4, Fraction(1)),)
+        assert choices_of(result.strategy)[1] == ((3, Fraction(1)),)
         assert result.value == pv(1000, 4)
         assert is_equilibrium(demo_tree, result.strategy).ok
 
@@ -56,12 +56,10 @@ class TestAnyNash:
             p2s = rng.sample(range(100), n + 1)
             tree = random_tree(rng, n)
             leaves = tree.leaf_ids()
-            from nashtree.gametree import Leaf
-
-            nodes = dict(tree.nodes)
+            nodes = dict(nodes_of(tree))
             for leaf_id, a, b in zip(leaves, p1s, p2s):
                 nodes[leaf_id] = Leaf(pv(a, b))
-            tree = type(tree)(tree.root, nodes)
+            tree = game_tree(tree.root, nodes)
             pure = enumerate_pure_spe(tree)
             assert len(pure) == 1
             assert any_nash(tree).value in pure
@@ -70,7 +68,7 @@ class TestAnyNash:
         tree = parse_game_tree("gtree v1\nroot 1\nleaf 1 payoff 3 -1/2\n")
         result = any_nash(tree)
         assert result.value == pv(3, Fraction(-1, 2))
-        assert result.strategy.choices == {}
+        assert choices_of(result.strategy) == {}
 
 
 class TestComputeSets:
@@ -177,17 +175,17 @@ class TestExtractStrategy:
     def test_committed_target_with_punishment(self, demo_tree):
         smap = compute_ups_all(demo_tree)
         strategy = extract_strategy(demo_tree, smap, demo_tree.root, pv(1000, 4))
-        assert strategy.choices[1] == ((3, Fraction(1)),)
+        assert choices_of(strategy)[1] == ((3, Fraction(1)),)
         # The unchosen subtree is pinned to its worst point for player 2.
-        assert strategy.choices[2] == ((4, Fraction(1)),)
+        assert choices_of(strategy)[2] == ((4, Fraction(1)),)
         assert is_equilibrium(demo_tree, strategy).ok
         assert evaluate(demo_tree, strategy)[1] == pv(1000, 4)
 
     def test_mixed_target_solves_for_lambda(self, demo_tree):
         smap = compute_ups_all(demo_tree)
         strategy = extract_strategy(demo_tree, smap, demo_tree.root, pv(2, 52))
-        assert strategy.choices[1] == ((2, Fraction(1)),)
-        assert strategy.choices[2] == ((4, Fraction(48, 97)), (5, Fraction(49, 97)))
+        assert choices_of(strategy)[1] == ((2, Fraction(1)),)
+        assert choices_of(strategy)[2] == ((4, Fraction(48, 97)), (5, Fraction(49, 97)))
         assert is_equilibrium(demo_tree, strategy).ok
         assert evaluate(demo_tree, strategy)[1] == pv(2, 52)
 
@@ -207,7 +205,7 @@ class TestExtractStrategy:
     def test_subtree_extraction(self, demo_tree):
         smap = compute_ups_all(demo_tree)
         strategy = extract_strategy(demo_tree, smap, 2, pv(2, 3))
-        assert strategy.choices == {2: ((4, Fraction(1)),)}
+        assert choices_of(strategy) == {2: ((4, Fraction(1)),)}
 
     def test_extraction_at_inner_mary_node(self):
         rng = random.Random(67)
@@ -222,14 +220,14 @@ class TestExtractStrategy:
             smap = compute_ups_all(tree)
             inner = [
                 nid for nid in tree.internal_ids()
-                if nid != tree.root and len(tree.nodes[nid].children) >= 3
+                if nid != tree.root and len(tree.children[nid]) >= 3
             ]
             for nid in inner[:3]:
                 sub = _subtree(tree, nid)
                 for target in sample_ups_points(smap.by_node[nid], per_element=2, seed=nid):
                     strategy = extract_strategy(tree, smap, nid, target)
-                    assert strategy.choices.keys() == set(sub.internal_ids())
-                    assert all(p > 0 for e in strategy.choices.values() for _, p in e)
+                    assert choices_of(strategy).keys() == set(sub.internal_ids())
+                    assert all(p > 0 for e in choices_of(strategy).values() for _, p in e)
                     assert check_strategy(sub, strategy) == []
                     assert is_equilibrium(sub, strategy).ok
                     assert evaluate(sub, strategy)[nid] == target
@@ -239,12 +237,13 @@ class TestExtractStrategy:
 
 def _subtree(tree: GameTree, nid: int) -> GameTree:
     nodes = {}
+    tree_nodes = nodes_of(tree)
     stack = [nid]
     while stack:
         k = stack.pop()
-        nodes[k] = tree.nodes[k]
+        nodes[k] = tree_nodes[k]
         stack.extend(getattr(nodes[k], "children", ()))
-    return GameTree(nid, nodes)
+    return game_tree(nid, nodes)
 
 
 class TestBestNash:
@@ -284,7 +283,7 @@ class TestBestNash:
         result = best_nash(mixing_tree, "social")
         assert result.value == pv(4, 5)
         assert any(
-            0 < prob < 1 for entry in result.strategy.choices.values() for _, prob in entry
+            0 < prob < 1 for entry in choices_of(result.strategy).values() for _, prob in entry
         )
         assert is_equilibrium(mixing_tree, result.strategy).ok
         best_pure_social = max(

@@ -18,11 +18,10 @@ import random
 
 import pytest
 
+from typing import NamedTuple
+
 from nashtree.gametree import (
-    GameTree,
     GtreeParseError,
-    Internal,
-    Leaf,
     _hard_violations,
     _is_tree,
     parse_game_tree,
@@ -35,7 +34,7 @@ from nashtree.ohoh import OhohConfig, build_tree, deal
 from nashtree.solver import CRITERIA, best_nash
 
 from .conftest import DATA
-from .helpers import random_mary_tree
+from .helpers import Internal, Leaf, Node, game_tree, nodes_of, random_mary_nodes
 
 GOLDEN = DATA / "parse_errors.json"
 PARSERS = {"gtree": parse_game_tree, "strategy": parse_strategy}
@@ -246,11 +245,18 @@ def test_parse_errors_match_golden():
 # -- linear validation against validate() ---------------------------------------
 
 
-def _unused(tree: GameTree) -> int:
+class Draft(NamedTuple):
+    """A game as the mutations edit it: a root and {id: Internal | Leaf}."""
+
+    root: int
+    nodes: dict[int, Node]
+
+
+def _unused(tree: Draft) -> int:
     return max(tree.nodes) + 1
 
 
-def _ancestors(tree: GameTree, nid: int) -> list[int]:
+def _ancestors(tree: Draft, nid: int) -> list[int]:
     parent = {c: p for p, n in tree.nodes.items() if isinstance(n, Internal) for c in n.children}
     out = []
     while nid in parent and parent[nid] not in out:  # earlier mutations may loop
@@ -259,7 +265,7 @@ def _ancestors(tree: GameTree, nid: int) -> list[int]:
     return out
 
 
-def _retarget(tree: GameTree, rng: random.Random, choose) -> GameTree:
+def _retarget(tree: Draft, rng: random.Random, choose) -> Draft:
     """Point one child slot of a random internal node at `choose(tree, node id)`."""
     internal = [nid for nid, n in tree.nodes.items() if isinstance(n, Internal)]
     if not internal:
@@ -268,7 +274,7 @@ def _retarget(tree: GameTree, rng: random.Random, choose) -> GameTree:
     node = tree.nodes[nid]
     kids = list(node.children)
     kids[rng.randrange(len(kids))] = choose(tree, nid)
-    return GameTree(tree.root, {**tree.nodes, nid: Internal(node.controller, tuple(kids))})
+    return Draft(tree.root, {**tree.nodes, nid: Internal(node.controller, tuple(kids))})
 
 
 def _dangling(tree, rng):
@@ -293,18 +299,18 @@ def _root_with_parent(tree, rng):
 
 def _unreachable(tree, rng):
     base = _unused(tree)
-    extra = random_mary_tree(rng)
+    extra = Draft(*random_mary_nodes(rng))
     shift = {nid: nid + base for nid in extra.nodes}
     nodes = dict(tree.nodes)
     for nid, node in extra.nodes.items():
         if isinstance(node, Internal):
             node = Internal(node.controller, tuple(shift[c] for c in node.children))
         nodes[shift[nid]] = node
-    return GameTree(tree.root, nodes)
+    return Draft(tree.root, nodes)
 
 
 def _undeclared_root(tree, rng):
-    return GameTree(_unused(tree) + rng.randrange(3), tree.nodes)
+    return Draft(_unused(tree) + rng.randrange(3), tree.nodes)
 
 
 def _chain(tree, rng):
@@ -321,7 +327,7 @@ def _chain(tree, rng):
             kids = tuple(top if c == above else c for c in node.children)
             nodes[nid] = Internal(node.controller, kids)
     root = top if above == tree.root else tree.root
-    return GameTree(root, nodes)
+    return Draft(root, nodes)
 
 
 MUTATIONS = (
@@ -339,14 +345,15 @@ def test_linear_check_agrees_with_validate():
     rng = random.Random(8)
     rejected = accepted = 0
     for _ in range(300):
-        tree = random_mary_tree(rng)
+        tree = Draft(*random_mary_nodes(rng))
         variants = [tree] + [mutate(tree, rng) for mutate in MUTATIONS]
         for _ in range(3):
             mixed = tree
             for mutate in rng.sample(MUTATIONS, rng.randint(2, 4)):
                 mixed = mutate(mixed, rng)
             variants.append(mixed)
-        for variant in variants:
+        for draft in variants:
+            variant = game_tree(*draft)
             hard = _hard_violations(validate(variant))
             assert _is_tree(variant) == (not hard)
             text = serialize_game_tree(variant)
@@ -358,7 +365,8 @@ def test_linear_check_agrees_with_validate():
                 assert str(err.value) == f"line {line}, column 1: " + "; ".join(hard)
             else:
                 accepted += 1
-                assert parse_game_tree(text) == variant
+                parsed = parse_game_tree(text)
+                assert (parsed.root, nodes_of(parsed)) == (variant.root, nodes_of(variant))
     assert rejected > 1000 and accepted > 300
 
 
@@ -370,8 +378,8 @@ def test_parsed_card_tree_shares_payoffs_and_solves_identically():
     for seed in range(3):
         generated = build_tree(deal(config, seed), config)
         parsed = parse_game_tree(serialize_game_tree(generated))
-        assert parsed == generated
-        payoffs = [n.payoff for n in parsed.nodes.values() if isinstance(n, Leaf)]
+        assert (parsed.root, nodes_of(parsed)) == (generated.root, nodes_of(generated))
+        payoffs = [n.payoff for n in nodes_of(parsed).values() if isinstance(n, Leaf)]
         assert len({id(p) for p in payoffs}) == len(set(payoffs)) < len(payoffs)
         for criterion in CRITERIA:
             assert serialize_strategy(best_nash(parsed, criterion).strategy) == (
