@@ -64,7 +64,7 @@ class PayoffVector:
         return f"{format_rational(self.p1)} {format_rational(self.p2)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameTree:
     """A game as columns keyed by node id, plus a designated root id.
 
@@ -87,6 +87,20 @@ class GameTree:
     def __len__(self) -> int:
         """The number of nodes."""
         return len(self.children) + len(self.leaf)
+
+    def __eq__(self, other: object) -> bool:
+        """Same root, controllers, children and leaf payoffs, however each
+        game lays out its payoff table."""
+        if not isinstance(other, GameTree):
+            return NotImplemented
+        mine, theirs, their_leaf = self.payoffs, other.payoffs, other.leaf
+        return (
+            self.root == other.root
+            and self.controller == other.controller
+            and self.children == other.children
+            and self.leaf.keys() == their_leaf.keys()
+            and all(mine[i] == theirs[their_leaf[nid]] for nid, i in self.leaf.items())
+        )
 
     @cached_property
     def _post_order(self) -> tuple[int, ...]:
@@ -255,40 +269,12 @@ def _hard_violations(violations: list[str]) -> list[str]:
 
 # -- .gtree text format -------------------------------------------------------
 #
-# Text in canonical form, as the serializers write it (the header, then one
-# directive per line, single spaces, no comments), is read with one regex
-# scan per directive. Other `.gtree` text is checked over each line's
-# `str.split()` tokens, which words every error, and rewritten in canonical
-# form. A token's column is worked out only when an error is raised, by
-# re-scanning its line.
+# Both text formats are read in one pass over each line's `str.split()`
+# tokens, which checks them and writes the columns. A token's column is
+# worked out only when an error is raised, by re-scanning its line.
 
 
 _TOKEN_RE = re.compile(r"\S+")
-_ID = "0*[1-9][0-9]*"
-_RATIONAL = "[+-]?[0-9]+(?:/[0-9]+)?"
-# Each scan finds whole lines between two newlines; the literal prefix lets
-# the regex engine skip to candidate lines instead of trying every offset.
-# `re` compiles a pattern on its first use and caches it.
-_NODE_LINES = rf"\nnode ({_ID}) player ([12]) children ({_ID}(?: {_ID})*)(?=\n)"
-_LEAF_LINES = rf"\nleaf ({_ID}) payoff ({_RATIONAL}) ({_RATIONAL})(?=\n)"
-_ROOT_LINES = rf"\nroot ({_ID})(?=\n)"
-_PURE_LINES = rf"\nat ({_ID}) choose ({_ID}) prob 1(?=\n)"
-_CHUNK = 1 << 18  # characters scanned at a time, which bounds the matches held
-
-
-def _scan(text: str, *patterns: str) -> Iterator[list[list]]:
-    """The matches of each pattern in successive chunks of text that starts
-    with a header line and ends in a newline. Chunks start at a newline and
-    end after one, so each line lies whole in one chunk. Text is canonical
-    if the matches cover every line after the header: each match is made
-    of characters that break no line, so the lines `str.splitlines()` sees
-    are those too."""
-    compiled = [re.compile(p) for p in patterns]
-    start = 0
-    while start < len(text) - 1:
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield [p.findall(text, start, end) for p in compiled]
-        start = end - 1
 
 
 def _content(lines: list[str], kind: str) -> Iterator[tuple[int, str, list[str]]]:
@@ -370,56 +356,17 @@ def parse_game_tree(text: str) -> GameTree:
     children, and unreachable nodes. Single-child internal nodes are
     accepted here; validate() still reports them.
 
-    Parsing takes time linear in the text: one pass over it (see above)
-    and a linear structural check, with validate() run only to word an
-    error. Leaves whose payoff tokens are equal share one payoff index,
-    and equal rational tokens share one Fraction, as in generated trees.
+    Parsing takes time linear in the text: one pass over its tokens and a
+    linear structural check, with validate() run only to word an error.
+    Leaves whose payoff tokens are equal share one payoff index, in order
+    of first appearance, and equal rational tokens share one Fraction.
     """
-    tree = _canonical_tree(text)
-    if tree is None:
-        tree = _canonical_tree("\n".join(_checked_lines(text.splitlines())) + "\n")
-    if not _is_tree(tree):
-        hard = _hard_violations(validate(tree))
-        raise GtreeParseError("; ".join(hard), len(text.splitlines()) or 1, 1)
-    return tree
-
-
-def _canonical_tree(text: str) -> GameTree | None:
-    """The game of canonical `.gtree` text, structure unchecked; None if a
-    line is not canonical or an id repeats."""
-    if not (text.startswith("gtree v1\n") and text.endswith("\n")):
-        return None
-    controller, children, leaf, index, roots = {}, {}, {}, {}, []
-    lines = 1  # the header
-    try:
-        for nodes, leaves, found in _scan(text, _NODE_LINES, _LEAF_LINES, _ROOT_LINES):
-            lines += len(nodes) + len(leaves) + len(found)
-            roots += found
-            node_ids = [int(nid) for nid, _, _ in nodes]
-            controller.update(zip(node_ids, [1 if player == "1" else 2 for _, player, _ in nodes]))
-            children.update(zip(node_ids, [
-                (int(k),) if " " not in k else tuple(map(int, k.split())) for _, _, k in nodes
-            ]))
-            leaf.update(zip(  # payoff indices in order of first appearance
-                [int(nid) for nid, _, _ in leaves],
-                [index.setdefault((a, b), len(index)) for _, a, b in leaves],
-            ))
-        distinct = len(children) + len(leaf) == lines - 2 and children.keys().isdisjoint(leaf)
-        if len(roots) != 1 or lines != text.count("\n") or not distinct:
-            return None  # a line that is not canonical, or a repeated id
-        root = int(roots[0])
-        rationals = {token: parse_rational(token) for pair in index for token in pair}
-    except ValueError:  # more digits than int() converts, or a zero denominator
-        return None
-    payoffs = tuple([PayoffVector(rationals[a], rationals[b]) for a, b in index])
-    return GameTree(root, controller, children, leaf, payoffs)
-
-
-def _checked_lines(lines: list[str]) -> list[str]:
-    """`.gtree` lines checked token by token and rewritten in canonical
-    form; raises GtreeParseError at the first malformed one."""
-    out = ["gtree v1"]
-    seen: set[int] = set()
+    lines = text.splitlines()
+    controller: dict[int, int] = {}
+    children: dict[int, tuple[int, ...]] = {}
+    leaf: dict[int, int] = {}
+    index: dict[tuple[str, str], int] = {}
+    payoffs: list[PayoffVector] = []
     root: int | None = None
     rationals: dict[str, Fraction] = {}
     for lineno, body, tokens in _content(lines, "gtree"):
@@ -430,23 +377,29 @@ def _checked_lines(lines: list[str]) -> list[str]:
                     "expected 'node <id> player <1|2> children <id> [...]'", lineno, body
                 )
             nid = _positive_int(tokens, 1, "node id", lineno, body)
-            if nid in seen:
+            if nid in children or nid in leaf:
                 raise _error(f"duplicate id {nid}", lineno, body, 1)
             player = tokens[3]
             if player != "1" and player != "2":
                 raise _error(f"player must be 1 or 2, got {player!r}", lineno, body, 3)
-            for k in range(5, len(tokens)):
-                _positive_int(tokens, k, "child id", lineno, body)
-            seen.add(nid)
+            controller[nid] = 1 if player == "1" else 2
+            children[nid] = tuple(
+                [_positive_int(tokens, k, "child id", lineno, body) for k in range(5, len(tokens))]
+            )
         elif word == "leaf":
             if len(tokens) != 5 or tokens[2] != "payoff":
                 raise _error("expected 'leaf <id> payoff <rat> <rat>'", lineno, body)
             nid = _positive_int(tokens, 1, "leaf id", lineno, body)
-            if nid in seen:
+            if nid in children or nid in leaf:
                 raise _error(f"duplicate id {nid}", lineno, body, 1)
-            _rational(tokens, 3, rationals, lineno, body)
-            _rational(tokens, 4, rationals, lineno, body)
-            seen.add(nid)
+            key = (tokens[3], tokens[4])
+            i = index.get(key)
+            if i is None:
+                p1 = _rational(tokens, 3, rationals, lineno, body)
+                p2 = _rational(tokens, 4, rationals, lineno, body)
+                i = index[key] = len(payoffs)
+                payoffs.append(PayoffVector(p1, p2))
+            leaf[nid] = i
         elif word == "root":
             if len(tokens) != 2:
                 raise _error("expected 'root <id>'", lineno, body)
@@ -455,10 +408,13 @@ def _checked_lines(lines: list[str]) -> list[str]:
             root = _positive_int(tokens, 1, "root id", lineno, body)
         else:
             raise _error(f"unknown directive {word!r}", lineno, body)
-        out.append(" ".join(tokens))
     if root is None:
         raise GtreeParseError("missing root declaration", len(lines) or 1, 1)
-    return out
+    tree = GameTree(root, controller, children, leaf, tuple(payoffs))
+    if not _is_tree(tree):
+        hard = _hard_violations(validate(tree))
+        raise GtreeParseError("; ".join(hard), len(lines) or 1, 1)
+    return tree
 
 
 def serialize_game_tree(tree: GameTree) -> str:
@@ -486,23 +442,11 @@ def parse_strategy(text: str) -> Strategy:
     """Parse strategy text (`strategy v1`, then one `at` line per node).
 
     A single child with probability one is stored as a pure choice. Like
-    parse_game_tree, one pass over the text: a regex scan when every line
-    is a canonical pure choice, else a pass over the tokens, where equal
-    probability tokens share one Fraction.
+    parse_game_tree, one pass over the tokens; equal probability tokens
+    share one Fraction.
     """
-    if text.startswith("strategy v1\n") and text.endswith("\n"):
-        pure: dict[int, int] = {}
-        count = 0
-        try:
-            for (found,) in _scan(text, _PURE_LINES):
-                count += len(found)
-                pure.update(zip(map(int, [n for n, _ in found]), map(int, [c for _, c in found])))
-        except ValueError:  # more digits than int() converts
-            count = -1
-        if count == len(pure) == text.count("\n") - 1:  # every line canonical, no repeat
-            return Strategy(pure)
     lines = text.splitlines()
-    pure = {}
+    pure: dict[int, int] = {}
     mixed: dict[int, tuple[tuple[int, Fraction], ...]] = {}
     rationals: dict[str, Fraction] = {}
     for lineno, body, tokens in _content(lines, "strategy"):
@@ -519,6 +463,9 @@ def parse_strategy(text: str) -> Strategy:
             raise _error(f"duplicate 'at {nid}' line", lineno, body)
         if len(tokens) % 3:
             raise _error("incomplete '<child> prob <rat>' group", lineno, body)
+        if len(tokens) == 6 and tokens[4] == "prob" and tokens[5] == "1":
+            pure[nid] = _positive_int(tokens, 3, "child id", lineno, body)
+            continue
         entries = []
         for k in range(3, len(tokens), 3):
             if tokens[k + 1] != "prob":

@@ -2,10 +2,9 @@
 
 The parsers are checked id for id against the per-node parsers they
 replaced (`tests.helpers.reference_parse_game_tree` and
-`reference_parse_strategy`), on canonical text, which takes the regex
-scans, and on the same text with comments and uneven spacing, which takes
-the token pass. The collector tests pin the design: a parsed game keeps
-no object per node, and its columns hold only untracked values.
+`reference_parse_strategy`), on canonical text and on the same text with
+comments and uneven spacing. The collector tests pin the design: a parsed
+game keeps no object per node, and its columns hold only untracked values.
 """
 
 from __future__ import annotations
@@ -17,8 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from nashtree import gametree
 from nashtree.gametree import (
+    GameTree,
+    PayoffVector,
     Strategy,
     parse_game_tree,
     parse_strategy,
@@ -26,6 +26,7 @@ from nashtree.gametree import (
     serialize_strategy,
 )
 from nashtree.ohoh import OhohConfig, build_dag, build_tree, deal
+from nashtree.oracle import random_tree
 from nashtree.solver import any_nash, best_nash, compute_ups_all, extract, select_optimal
 
 from .conftest import DATA
@@ -54,7 +55,8 @@ def _uneven(text: str, rng: random.Random) -> str:
 
 def _assert_same_game(text: str) -> None:
     game, expected = parse_game_tree(text), reference_parse_game_tree(text)
-    assert game == expected  # root, controllers, children, leaf indices, payoff table
+    assert game == expected
+    assert (game.leaf, game.payoffs) == (expected.leaf, expected.payoffs)  # the table's layout
 
 
 def _assert_same_strategy(text: str) -> None:
@@ -108,30 +110,27 @@ class TestParsersAgainstTheReference:
             _assert_same_strategy((DATA / name).read_text())
 
 
-class TestCanonicalScan:
-    def test_canonical_text_skips_the_token_pass(self, monkeypatch):
-        # Chunks far shorter than a line put every line across a boundary.
-        def token_pass(*args):
-            raise AssertionError("canonical text reached the token pass")
-
-        rng = random.Random(4)
-        trees = [random_mary_tree(rng) for _ in range(100)]
-        strategies = [serialize_strategy(any_nash(tree).strategy) for tree in trees]
-        config = OhohConfig(3, "flat")
-        trees.append(build_tree(deal(config, 2), config))
-        strategies.append(serialize_strategy(any_nash(trees[-1]).strategy))
-        texts = [serialize_game_tree(tree) for tree in trees]
-        expected = [(reference_parse_game_tree(t), reference_parse_strategy(s))
-                    for t, s in zip(texts, strategies)]
-        monkeypatch.setattr(gametree, "_content", token_pass)
-        for chunk in (1, 7, 1 << 18):
-            monkeypatch.setattr(gametree, "_CHUNK", chunk)
-            for text, strategy, (tree, choices) in zip(texts, strategies, expected):
-                assert parse_game_tree(text) == tree
-                assert choices_of(parse_strategy(strategy)) == choices
-
-
 class TestColumns:
+    def test_equality_ignores_the_payoff_table_layout(self):
+        # Each leaf of a random oracle tree has its own table entry; the
+        # parsed copy shares one entry per distinct payoff.
+        rng = random.Random(1)
+        laid_out_apart = 0
+        for _ in range(50):
+            tree = random_tree(rng, 6)
+            parsed = parse_game_tree(serialize_game_tree(tree))
+            laid_out_apart += len(parsed.payoffs) < len(tree.payoffs)
+            assert parsed == tree and tree == parsed
+            nid, i = next(iter(tree.leaf.items()))
+            p = tree.payoffs[i]
+            moved = PayoffVector(p.p1 + 1, p.p2)
+            leaf = {**tree.leaf, nid: len(tree.payoffs)}
+            changed = GameTree(tree.root, tree.controller, tree.children, leaf, (*tree.payoffs, moved))
+            assert changed != tree
+            controller = {**tree.controller, tree.root: 3 - tree.controller[tree.root]}
+            assert GameTree(tree.root, controller, tree.children, tree.leaf, tree.payoffs) != tree
+        assert laid_out_apart > 40
+
     def test_parsing_keeps_no_object_per_node(self):
         config = OhohConfig(4, "flat")
         tree_text = serialize_game_tree(build_tree(deal(config, 0), config))

@@ -180,7 +180,9 @@ class TestCardGameDag:
             dag, expected = build_dag(hand, config), reference_build_dag(hand, config)
             assert dag.root == expected.root
             assert nodes_of(dag) == nodes_of(expected)
-            assert list(nodes_of(dag)) == list(nodes_of(expected))
+            # Ids are given children first, in the order of a post-order walk.
+            ids = tuple(range(1, len(dag) + 1))
+            assert tuple(dag.post_order()) == tuple(expected.post_order()) == ids
 
     @ON_BUILDER_HANDS
     def test_post_order_lists_each_node_once_children_first(self, config, seeds):

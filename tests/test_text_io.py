@@ -365,8 +365,7 @@ def test_linear_check_agrees_with_validate():
                 assert str(err.value) == f"line {line}, column 1: " + "; ".join(hard)
             else:
                 accepted += 1
-                parsed = parse_game_tree(text)
-                assert (parsed.root, nodes_of(parsed)) == (variant.root, nodes_of(variant))
+                assert parse_game_tree(text) == variant
     assert rejected > 1000 and accepted > 300
 
 
@@ -378,7 +377,7 @@ def test_parsed_card_tree_shares_payoffs_and_solves_identically():
     for seed in range(3):
         generated = build_tree(deal(config, seed), config)
         parsed = parse_game_tree(serialize_game_tree(generated))
-        assert (parsed.root, nodes_of(parsed)) == (generated.root, nodes_of(generated))
+        assert parsed == generated
         payoffs = [n.payoff for n in nodes_of(parsed).values() if isinstance(n, Leaf)]
         assert len({id(p) for p in payoffs}) == len(set(payoffs)) < len(payoffs)
         for criterion in CRITERIA:
