@@ -13,7 +13,7 @@ from nashtree import (
     merge,
     merge_ldet,
     merge_random,
-    min_value_for_player,
+    min_point,
     saturate,
     serialize_ups,
     singleton_ups,
@@ -38,7 +38,7 @@ print("contains (2, 2): ", contains(column, PayoffVector(Fraction(2), Fraction(2
 
 print("\n== committing deterministically keeps only defensible payoffs ==")
 c = singleton_ups(grid, PayoffVector(Fraction(1000), Fraction(4)))
-print("player 2's worst point in the column:", min_value_for_player(column, 2))
+print("player 2's worst point in the column:", min_point(column, 2).component(2))
 kept = merge_ldet(column, c, 2)
 print(serialize_ups(kept))
 

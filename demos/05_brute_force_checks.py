@@ -14,7 +14,6 @@ from nashtree import (
     enumerate_pure_spe,
     merge,
     random_tree,
-    equal_ups,
 )
 from nashtree.ups import build_grid, singleton_ups
 
@@ -38,4 +37,4 @@ a = singleton_ups(grid, leaves[0])
 b = singleton_ups(grid, leaves[1])
 fast = merge(a, b, 1)
 slow = brute_merge(a, b, 1, "merge")
-print("flag-for-flag equal:", equal_ups(fast, slow))
+print("flag-for-flag equal:", fast == slow)

@@ -32,8 +32,6 @@ from .ups import (
     Ups,
     build_grid,
     contains,
-    empty_ups,
-    equal_ups,
     is_empty,
     is_single_point,
     merge,
@@ -41,7 +39,6 @@ from .ups import (
     merge_ldet,
     merge_random,
     min_point,
-    min_value_for_player,
     saturate,
     serialize_ups,
     singleton_ups,
@@ -72,7 +69,6 @@ from .oracle import (
     brute_merge,
     cross_validate,
     enumerate_pure_spe,
-    find_mixing_required_tree,
     random_tree,
     sample_ups_points,
 )

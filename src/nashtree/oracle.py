@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .gametree import GameTree, PayoffVector, Strategy, is_equilibrium, serialize_game_tree
-from .solver import (
-    compute_det_ups_all,
-    compute_ups_all,
-    extract_strategy,
-    select_optimal,
-)
+from .solver import compute_det_ups_all, compute_ups_all, extract_strategy
 from .ups import (
     FLAG_KINDS,
     PayoffGrid,
@@ -289,38 +284,6 @@ def random_tree(
 
     root = build(internal_count)
     return GameTree(root, controller, children, leaf, tuple(payoffs))
-
-
-# Search distribution for trees whose social optimum needs randomization:
-# moderate depth plus heavily tied payoffs. The instances are rare, so the
-# parameters are pinned; the first hit under them is at seed 8203.
-MIXING_SEARCH_VALUES = (0, 1, 2, 3, 4, 5)
-MIXING_SEARCH_TIE_BIAS = 0.6
-
-
-def find_mixing_required_tree(max_seeds: int = 10_000):
-    """Seeded search for a tree where stochastic equilibria strictly beat
-    every pure one on social welfare.
-
-    Draws trees of 5..12 internal nodes from the tie-biased distribution
-    and compares the full social optimum against the deterministic-only
-    one. Returns (seed, tree) for the first strict improvement, or None.
-    """
-    for seed in range(max_seeds):
-        rng = random.Random(seed)
-        tree = random_tree(
-            rng,
-            rng.randint(5, 12),
-            MIXING_SEARCH_VALUES,
-            tie_bias=MIXING_SEARCH_TIE_BIAS,
-        )
-        full = compute_ups_all(tree)
-        det = compute_det_ups_all(tree)
-        best = select_optimal(full.by_node[tree.root], "social")
-        best_det = select_optimal(det.by_node[tree.root], "social")
-        if best.p1 + best.p2 > best_det.p1 + best_det.p2:
-            return seed, tree
-    return None
 
 
 # -- end-to-end differential check ----------------------------------------------

@@ -37,17 +37,25 @@ occupied lanes of a flag grid, and the span from the lowest to the
 highest flag inside each lane, with O(log n) masked shift-ORs (segmented
 prefix-OR smears, after Warren, *Hacker's Delight*, ch. 2). Both players
 run the same code; only the per-grid masks in `PayoffGrid.lanes` differ.
+`merge` smears each operand's points once and reads from that one smear
+both the mixing spans and the operand's lowest lane, the floor that
+truncates the other operand. Player-1 lanes are rows, consecutive in bit
+order, so elsewhere a player-1 floor is the row of the lowest flag, found
+with no smear, and the lanes at or above it are every bit from its
+marker up.
 
 Instrumentation
 ---------------
 Every grid carries its own `WorkMeter` (`PayoffGrid.work`). The
 operators that build sets (`union`, `saturate`, `merge_random`,
-`merge_ldet`, and `merge`/`merge_deterministic` through them) add their
-work to the meter of their operands' grid: `flag_ops` counts flag
-operations, one per big-int shift, AND, OR, negation or multiply, so
-callers can check that each merge does O(n1 * n2) flag work. Queries
-(`contains`, `min_point`, `cross_section`, flag enumeration) count
-nothing.
+`merge_ldet`, `merge` and `merge_deterministic`) add their work to the
+meter of their operands' grid: `flag_ops` counts flag operations, one
+per big-int shift, AND, OR, negation or multiply actually done, so
+callers can check that each merge does O(n1 * n2) flag work. `merge`
+counts fewer than the operators it fuses: it skips their repeated
+smears, and a span skips its upward smear when the operands share no
+lane. Queries (`contains`, `min_point`, `cross_section`, flag
+enumeration) count nothing.
 
 The solver builds one grid per fold, so these counts belong to that one
 solve, also when solves run in parallel threads. `SetMap.flag_ops` is
@@ -191,10 +199,6 @@ def build_grid(tree: GameTree) -> PayoffGrid:
     return PayoffGrid(tuple(sorted(xs)), tuple(sorted(ys)))
 
 
-def empty_ups(grid: PayoffGrid) -> Ups:
-    return Ups(grid, 0, 0, 0, 0)
-
-
 def singleton_ups(grid: PayoffGrid, payoff: PayoffVector) -> Ups:
     i = grid.index1.get(payoff.p1)
     j = grid.index2.get(payoff.p2)
@@ -230,12 +234,6 @@ def saturate(a: Ups) -> Ups:
     return Ups(a.grid, *_saturate_bits(a.grid.n2, a.p, a.l1, a.l2, a.d))
 
 
-def equal_ups(a: Ups, b: Ups) -> bool:
-    """Flag-grid equality; decides point-set equality for saturated values."""
-    _same_grid(a, b)
-    return a.p == b.p and a.l1 == b.l1 and a.l2 == b.l2 and a.d == b.d
-
-
 _ON, _BETWEEN, _OUT = 0, 1, 2
 
 
@@ -251,9 +249,10 @@ def _locate(axis: tuple[Fraction, ...], v) -> tuple[int, int]:
 def flag_position(grid: PayoffGrid, point: PayoffVector) -> tuple[str, int]:
     """The flag grid (`"p"`, `"l1"`, `"l2"` or `"d"`) and the bit of the
     basis element whose relative interior holds `point`; off the grid, a
-    bit past every flag."""
-    kx, i = _locate(grid.u1, point.p1)
-    ky, j = _locate(grid.u2, point.p2)
+    bit past every flag. On-grid coordinates are looked up, not bisected."""
+    i, j = grid.index1.get(point.p1), grid.index2.get(point.p2)
+    kx, i = _locate(grid.u1, point.p1) if i is None else (_ON, i)
+    ky, j = _locate(grid.u2, point.p2) if j is None else (_ON, j)
     if kx == _OUT or ky == _OUT:
         return "p", grid.n1 * grid.n2
     if kx == _ON:
@@ -274,31 +273,77 @@ def _player_lanes(grid: PayoffGrid, x: int) -> _Lanes:
     return lanes
 
 
-def _lowest_lane(lanes: _Lanes, bits: int) -> int:
-    """Marker of the lowest lane holding a flag of `bits` (nonzero).
-
-    Costs 3 * len(lanes.smears) + 3 flag ops.
-    """
+def _low(lanes: _Lanes, bits: int) -> int:
+    """Every bit with a flag of `bits` at or above it in its lane, so a lane's
+    marker is set iff the lane holds a flag (3 * len(lanes.smears) flag ops)."""
     for shift, down, _ in lanes.smears:
         bits |= (bits >> shift) & down
-    occupied = bits & lanes.first
+    return bits
+
+
+def _lowest_lane(lanes: _Lanes, low: int) -> int:
+    """Marker of the lowest occupied lane of flags smeared by `_low` (3 flag ops)."""
+    occupied = low & lanes.first
     return occupied & -occupied
 
 
-def _spans(lanes: _Lanes, work: WorkMeter, a: int, b: int) -> int:
+def _floor(grid: PayoffGrid, lanes: _Lanes, x: int, bits: int) -> int:
+    """Marker of the lowest player-x lane holding a flag of `bits` (nonzero);
+    a player-1 lane is a row, so that is the lowest flag's row, unsmeared."""
+    if x == 1:
+        grid.work.flag_ops += 3
+        return 1 << ((bits & -bits).bit_length() - 1) // grid.n2 * grid.n2
+    grid.work.flag_ops += 3 * len(lanes.smears) + 3
+    return _lowest_lane(lanes, _low(lanes, bits))
+
+
+def _at_or_above(a: Ups, lanes: _Lanes, work: WorkMeter, x: int, floor: int):
+    """`a`'s flags in the player-x lanes at or above the lane marked `floor`;
+    saturated if `a` is, as a flag's contained flags lie in its lane or above."""
+    # Rows are consecutive bit blocks, so for x = 1 these are all bits from
+    # the floor up; for x = 2, the markers from the floor up, spread.
+    keep = -floor if x == 1 else (lanes.first & -floor) * lanes.spread
+    work.flag_ops += 5 if x == 1 else 7
+    return a.p & keep, a.l1 & keep, a.l2 & keep, a.d & keep
+
+
+def _spans(lanes: _Lanes, work: WorkMeter, a: int, b: int, low_a: int, low_b: int) -> int:
     """In every lane holding flags of both `a` and `b`, all bits from the
-    lowest to the highest flag of either; nothing in the other lanes."""
-    if not (a and b):
-        return 0
-    # low_*: flag at or above in the lane; high: flag at or below.
-    low_a, low_b, high = a, b, a | b
-    for shift, down, up in lanes.smears:
-        low_a |= (low_a >> shift) & down
-        low_b |= (low_b >> shift) & down
-        high |= (high << shift) & up
+    lowest to the highest flag of either; nothing in the other lanes.
+    `low_a` and `low_b` are `a` and `b` smeared by `_low`."""
     both = low_a & low_b & lanes.first
-    work.flag_ops += 9 * len(lanes.smears) + 7
+    work.flag_ops += 2
+    if not both:
+        return 0
+    # high: a flag of either at or below, in the same lane.
+    high = a | b
+    for shift, _, up in lanes.smears:
+        high |= (high << shift) & up
+    work.flag_ops += 3 * len(lanes.smears) + 5
     return (low_a | low_b) & high & both * lanes.spread
+
+
+def _mixes(grid: PayoffGrid, lanes: _Lanes, x: int, a: Ups, b: Ups, low_a: int, low_b: int):
+    """Flags of `merge_random(a, b, x)`, given `a.p` and `b.p` smeared by `_low`."""
+    work = grid.work
+    pts = _spans(lanes, work, a.p, b.p, low_a, low_b)
+    if not pts:
+        return 0, 0, 0, 0
+    # The segments across player-x lanes: l1 for x = 1, l2 for x = 2. Under
+    # saturation their shared lanes are shared lanes of points too.
+    ca, cb = (a.l1, b.l1) if x == 1 else (a.l2, b.l2)
+    cross = 0
+    if ca and cb:
+        work.flag_ops += 6 * len(lanes.smears)
+        cross = _spans(lanes, work, ca, cb, _low(lanes, ca), _low(lanes, cb))
+    # Spans are contiguous in their lane, so a bit whose next neighbour is
+    # also flagged starts a segment along the lane (or a cell).
+    shift, along = lanes.step, lanes.along
+    joins = pts & (pts >> shift) & along
+    d = cross & (cross >> shift) & along
+    l1, l2 = (cross, joins) if x == 1 else (joins, cross)
+    work.flag_ops += 16
+    return _saturate_bits(grid.n2, pts, l1, l2, d)
 
 
 def min_point(a: Ups, x: int) -> PayoffVector:
@@ -312,14 +357,10 @@ def min_point(a: Ups, x: int) -> PayoffVector:
     if a.p == 0:
         raise EmptySetError("minimum of an empty set")
     lanes = _player_lanes(grid, x)
-    lane = a.p & _lowest_lane(lanes, a.p) * lanes.spread
+    # The lowest flag of the lowest lane; for x = 1 that is the lowest flag.
+    lane = a.p if x == 1 else a.p & _lowest_lane(lanes, _low(lanes, a.p)) * lanes.spread
     i, j = divmod((lane & -lane).bit_length() - 1, grid.n2)
     return PayoffVector(grid.u1[i], grid.u2[j])
-
-
-def min_value_for_player(a: Ups, x: int) -> Fraction:
-    """Minimum player-x coordinate over the represented set."""
-    return min_point(a, x).component(x)
 
 
 def merge_ldet(a: Ups, b: Ups, x: int) -> Ups:
@@ -334,10 +375,7 @@ def merge_ldet(a: Ups, b: Ups, x: int) -> Ups:
     if b.p == 0:
         raise EmptySetError("merge_ldet needs a nonempty second operand")
     lanes = _player_lanes(grid, x)
-    # The markers at or above the lowest one, each spread over its lane.
-    keep = (lanes.first & -_lowest_lane(lanes, b.p)) * lanes.spread
-    grid.work.flag_ops += 3 * len(lanes.smears) + 10
-    return Ups(grid, a.p & keep, a.l1 & keep, a.l2 & keep, a.d & keep)
+    return Ups(grid, *_at_or_above(a, lanes, grid.work, x, _floor(grid, lanes, x, b.p)))
 
 
 def merge_random(a: Ups, b: Ups, x: int) -> Ups:
@@ -352,21 +390,8 @@ def merge_random(a: Ups, b: Ups, x: int) -> Ups:
     _same_grid(a, b)
     grid = a.grid
     lanes = _player_lanes(grid, x)
-    work = grid.work
-    pts = _spans(lanes, work, a.p, b.p)
-    # The segments across player-x lanes: l1 for x = 1, l2 for x = 2.
-    if x == 1:
-        cross = _spans(lanes, work, a.l1, b.l1)
-    else:
-        cross = _spans(lanes, work, a.l2, b.l2)
-    # Spans are contiguous in their lane, so a bit whose next neighbour is
-    # also flagged starts a segment along the lane (or a cell).
-    shift, along = lanes.step, lanes.along
-    joins = pts & (pts >> shift) & along
-    d = cross & (cross >> shift) & along
-    l1, l2 = (cross, joins) if x == 1 else (joins, cross)
-    work.flag_ops += 16
-    return Ups(grid, *_saturate_bits(grid.n2, pts, l1, l2, d))
+    grid.work.flag_ops += 6 * len(lanes.smears)
+    return Ups(grid, *_mixes(grid, lanes, x, a, b, _low(lanes, a.p), _low(lanes, b.p)))
 
 
 def merge(a: Ups, b: Ups, x: int) -> Ups:
@@ -374,18 +399,36 @@ def merge(a: Ups, b: Ups, x: int) -> Ups:
 
     The parent can deterministically pick either child (keeping only
     payoffs no worse for x than the other child's worst case) or mix
-    between x-indifferent payoff pairs.
+    between x-indifferent payoff pairs: the union of `merge_random` and
+    both `merge_ldet`s, in one pass that smears each operand's points once.
     """
-    return union(
-        merge_random(a, b, x),
-        union(merge_ldet(a, b, x), merge_ldet(b, a, x)),
-    )
+    _same_grid(a, b)
+    grid = a.grid
+    lanes = _player_lanes(grid, x)
+    if not (a.p and b.p):
+        raise EmptySetError("merge needs two nonempty sets")
+    work = grid.work
+    low_a, low_b = _low(lanes, a.p), _low(lanes, b.p)
+    mp, ml1, ml2, md = _mixes(grid, lanes, x, a, b, low_a, low_b)
+    ap, al1, al2, ad = _at_or_above(a, lanes, work, x, _lowest_lane(lanes, low_b))
+    bp, bl1, bl2, bd = _at_or_above(b, lanes, work, x, _lowest_lane(lanes, low_a))
+    work.flag_ops += 6 * len(lanes.smears) + 14
+    return Ups(grid, mp | ap | bp, ml1 | al1 | bl1, ml2 | al2 | bl2, md | ad | bd)
 
 
 def merge_deterministic(a: Ups, b: Ups, x: int) -> Ups:
-    """Merge variant that never mixes; on point-only inputs the result is
-    again point-only."""
-    return union(merge_ldet(a, b, x), merge_ldet(b, a, x))
+    """Merge variant that never mixes, the union of both `merge_ldet`s; on
+    point-only inputs the result is again point-only."""
+    _same_grid(a, b)
+    grid = a.grid
+    lanes = _player_lanes(grid, x)
+    if not (a.p and b.p):
+        raise EmptySetError("merge_deterministic needs two nonempty sets")
+    work = grid.work
+    ap, al1, al2, ad = _at_or_above(a, lanes, work, x, _floor(grid, lanes, x, b.p))
+    bp, bl1, bl2, bd = _at_or_above(b, lanes, work, x, _floor(grid, lanes, x, a.p))
+    work.flag_ops += 4
+    return Ups(grid, ap | bp, al1 | bl1, al2 | bl2, ad | bd)
 
 
 def is_single_point(a: Ups) -> bool:
@@ -401,7 +444,7 @@ def cross_section(a: Ups, x: int, v: Fraction) -> tuple[int, int]:
     [u_other[k], u_other[k+1]] is.
     """
     grid = a.grid
-    n1, n2 = grid.n1, grid.n2
+    n2 = grid.n2
     if x == 1:
         kind, i = _locate(grid.u1, v)
         if kind == _OUT:
@@ -414,11 +457,8 @@ def cross_section(a: Ups, x: int, v: Fraction) -> tuple[int, int]:
         if kind == _OUT:
             return 0, 0
         pts_src, seg_src = (a.p, a.l1) if kind == _ON else (a.l2, a.d)
-        pts = segs = 0
-        for i in range(n1):
-            pts |= (pts_src >> (i * n2 + j) & 1) << i
-            segs |= (seg_src >> (i * n2 + j) & 1) << i
-        return pts, segs
+        # Column j: every n2-th binary digit from bit j up, read lowest first.
+        return tuple(int(format(src >> j, "b")[::-n2][::-1], 2) for src in (pts_src, seg_src))
     raise ValueError(f"player index must be 1 or 2, got {x}")
 
 

@@ -17,7 +17,6 @@ from nashtree.oracle import (
     brute_merge,
     cross_validate,
     enumerate_pure_spe,
-    find_mixing_required_tree,
     random_tree,
 )
 from nashtree.solver import (
@@ -32,7 +31,6 @@ from nashtree.solver import (
 )
 from nashtree.ups import (
     contains,
-    equal_ups,
     is_empty,
     merge,
     merge_ldet,
@@ -41,7 +39,14 @@ from nashtree.ups import (
     ups_from_flags,
 )
 
-from .helpers import choices_of, pv, random_grid, random_saturated_ups
+from .helpers import (
+    choices_of,
+    equal_ups,
+    find_mixing_required_tree,
+    pv,
+    random_grid,
+    random_saturated_ups,
+)
 
 
 def _verdict(n: int, ok: bool, detail: str) -> None:

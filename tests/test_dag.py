@@ -35,11 +35,11 @@ from nashtree.solver import (
     extract_strategy,
     select_optimal,
 )
-from nashtree.ups import equal_ups
 
 from .helpers import (
     Internal,
     Leaf,
+    equal_ups,
     game_tree,
     nodes_of,
     pv,

@@ -10,9 +10,9 @@ import random
 import pytest
 
 from nashtree.oracle import brute_merge
-from nashtree.ups import equal_ups, is_empty, iter_flags, merge, merge_ldet, merge_random
+from nashtree.ups import is_empty, iter_flags, merge, merge_ldet, merge_random
 
-from .helpers import edge_case_pair, random_grid, random_saturated_ups
+from .helpers import edge_case_pair, equal_ups, random_grid, random_saturated_ups
 
 OPERATORS = (("ldet", merge_ldet), ("random", merge_random), ("merge", merge))
 

@@ -5,8 +5,6 @@ import pytest
 
 from nashtree.gametree import binarize, is_equilibrium, parse_game_tree
 from nashtree.oracle import (
-    MIXING_SEARCH_TIE_BIAS,
-    MIXING_SEARCH_VALUES,
     _promote_child,
     brute_contains,
     cross_validate,
@@ -17,7 +15,16 @@ from nashtree.oracle import (
 from nashtree.solver import compute_ups_all
 from nashtree.ups import PayoffGrid, saturate, singleton_ups, ups_from_flags
 
-from .helpers import Internal, Leaf, choices_of, nodes_of, pv, reference_pure_spe
+from .helpers import (
+    MIXING_SEARCH_TIE_BIAS,
+    MIXING_SEARCH_VALUES,
+    Internal,
+    Leaf,
+    choices_of,
+    nodes_of,
+    pv,
+    reference_pure_spe,
+)
 
 
 def _reference_corpus():

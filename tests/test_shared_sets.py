@@ -27,12 +27,7 @@ from nashtree.gametree import (
     serialize_strategy,
 )
 from nashtree.ohoh import OhohConfig, build_tree, deal
-from nashtree.oracle import (
-    MIXING_SEARCH_TIE_BIAS,
-    MIXING_SEARCH_VALUES,
-    random_tree,
-    sample_ups_points,
-)
+from nashtree.oracle import random_tree, sample_ups_points
 from nashtree.solver import (
     CRITERIA,
     best_deterministic_nash,
@@ -41,10 +36,19 @@ from nashtree.solver import (
     compute_ups_all,
     extract_strategy,
 )
-from nashtree.ups import build_grid, equal_ups, merge, merge_deterministic, singleton_ups
+from nashtree.ups import build_grid, merge, merge_deterministic, singleton_ups
 
 from .conftest import DATA
-from .helpers import Internal, Leaf, game_tree, nodes_of, pv
+from .helpers import (
+    MIXING_SEARCH_TIE_BIAS,
+    MIXING_SEARCH_VALUES,
+    Internal,
+    Leaf,
+    equal_ups,
+    game_tree,
+    nodes_of,
+    pv,
+)
 
 GOLDEN = DATA / "strategy_digests.json"
 HAND_SEEDS = range(40)

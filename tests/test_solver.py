@@ -28,13 +28,12 @@ from nashtree.solver import (
 from nashtree.ups import (
     PayoffGrid,
     contains,
-    equal_ups,
     iter_flags,
     singleton_ups,
     ups_from_flags,
 )
 
-from .helpers import Leaf, choices_of, game_tree, nodes_of, pv
+from .helpers import Leaf, choices_of, empty_ups, equal_ups, game_tree, nodes_of, pv
 
 
 class TestAnyNash:
@@ -155,8 +154,6 @@ class TestSelectOptimal:
 
     def test_empty_and_unknown_criterion(self, demo_tree):
         root = compute_ups_all(demo_tree).by_node[demo_tree.root]
-        from nashtree.ups import empty_ups
-
         with pytest.raises(ValueError):
             select_optimal(empty_ups(root.grid), "social")
         with pytest.raises(ValueError, match="criterion"):

@@ -12,8 +12,6 @@ from nashtree.ups import (
     build_grid,
     contains,
     cross_section,
-    empty_ups,
-    equal_ups,
     flag_box,
     is_empty,
     is_single_point,
@@ -23,7 +21,6 @@ from nashtree.ups import (
     merge_ldet,
     merge_random,
     min_point,
-    min_value_for_player,
     saturate,
     serialize_ups,
     singleton_ups,
@@ -31,7 +28,16 @@ from nashtree.ups import (
     ups_from_flags,
 )
 
-from .helpers import edge_case_pair, pv, random_grid, random_saturated_ups, transpose
+from .helpers import (
+    edge_case_pair,
+    empty_ups,
+    equal_ups,
+    min_value_for_player,
+    pv,
+    random_grid,
+    random_saturated_ups,
+    transpose,
+)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +186,27 @@ class TestContains:
         assert not contains(u1, pv(10**6, 4))
         assert not contains(u1, pv(2, 2))
 
+    def test_random_points_match_the_brute_force_geometry(self):
+        # On-grid coordinates take the index lookup, the others the
+        # bisection; both must agree with exact interval geometry.
+        rng = random.Random(13)
+
+        def coordinate(axis):
+            k = rng.randrange(len(axis))
+            roll = rng.random()
+            if roll < 0.5:
+                return axis[k]
+            if roll < 0.8 and k + 1 < len(axis):
+                return (axis[k] + axis[k + 1]) / 2
+            return axis[0] - 1 if roll < 0.9 else axis[-1] + Fraction(1, 3)
+
+        for _ in range(60):
+            grid = random_grid(rng)
+            a = random_saturated_ups(rng, grid, 0.3)
+            for _ in range(12):
+                point = pv(coordinate(grid.u1), coordinate(grid.u2))
+                assert contains(a, point) == brute_contains(a, point), point
+
     def test_cell_interior(self):
         grid = PayoffGrid((Fraction(0), Fraction(2)), (Fraction(0), Fraction(2)))
         a = saturate(ups_from_flags(grid, [("D", 0, 0)]))
@@ -277,11 +304,16 @@ class TestMerge:
             assert flags(merge(p, p, x)) == [("P", 0, 1)]
 
     def test_merge_output_nonempty_and_saturated(self):
+        # The one-pass kernels against the operators they fuse, flag for
+        # flag, and `min_point` against a scan of the flagged points.
         rng = random.Random(17)
-        for _ in range(80):
-            grid = random_grid(rng)
-            a = random_saturated_ups(rng, grid)
-            b = random_saturated_ups(rng, grid)
+        for case in range(160):
+            if case < 80:
+                grid = random_grid(rng)
+                a = random_saturated_ups(rng, grid)
+                b = random_saturated_ups(rng, grid)
+            else:
+                a, b = edge_case_pair(rng)
             if is_empty(a) or is_empty(b):
                 continue
             for x in (1, 2):
@@ -291,6 +323,14 @@ class TestMerge:
                 det = merge_deterministic(a, b, x)
                 assert equal_ups(saturate(det), det)
                 assert not is_empty(det)
+                kept = union(merge_ldet(a, b, x), merge_ldet(b, a, x))
+                assert flags(out) == flags(union(merge_random(a, b, x), kept))
+                assert flags(det) == flags(kept)
+                for u in (a, b):
+                    grid = u.grid
+                    points = [pv(grid.u1[i], grid.u2[j]) for k, i, j in iter_flags(u) if k == "P"]
+                    scan = min(points, key=lambda v: (v.component(x), v.component(3 - x)))
+                    assert min_point(u, x) == scan
 
 
 class TestTranspose:
@@ -374,6 +414,31 @@ class TestCrossSection:
     def test_outside(self, demo):
         _, u1, *_ = demo
         assert cross_section(u1, 1, Fraction(5000)) == (0, 0)
+
+    def test_random_grids_match_a_per_bit_gather(self):
+        rng = random.Random(71)
+        for case in range(300):
+            grid = random_grid(rng, max_side=9)
+            a = random_saturated_ups(rng, grid, 0.3)
+            x = 1 + case % 2
+            axis, other = (grid.u1, grid.n2) if x == 1 else (grid.u2, grid.n1)
+            k = rng.randrange(len(axis))
+            on = rng.random() < 0.6 or k + 1 == len(axis)
+            v = axis[k] if on else (axis[k] + axis[k + 1]) / 2
+            # The flags crossed by the slice: points and segments along the
+            # other axis on a grid line, segments and cells between lines.
+            if x == 1:
+                srcs = (a.p, a.l2) if on else (a.l1, a.d)
+            else:
+                srcs = (a.p, a.l1) if on else (a.l2, a.d)
+            want = []
+            for src in srcs:
+                bits = 0
+                for m in range(other):
+                    bit = k * grid.n2 + m if x == 1 else m * grid.n2 + k
+                    bits |= (src >> bit & 1) << m
+                want.append(bits)
+            assert cross_section(a, x, v) == tuple(want)
 
 
 class TestMeterAndDump:
