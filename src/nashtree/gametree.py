@@ -15,8 +15,9 @@ stores each probability-one choice as a child id. Parsing, rewriting and
 walking a game keep no object per node, and once the cyclic collector
 has passed over the columns it no longer tracks them.
 
-All arithmetic is done with `fractions.Fraction`; ties between payoffs
-are meaningful and must be exact, so no floating point is used anywhere.
+All values are exact `Rational`s (`int` when whole, `fractions.Fraction`
+otherwise, never `float`); ties between payoffs are meaningful and must
+be exact, so no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -24,13 +25,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
-from .rationals import format_rational, parse_rational
-
-ONE = Fraction(1)
+from .rationals import Rational, format_rational, parse_rational
 
 
 class GtreeParseError(ValueError):
@@ -50,10 +48,10 @@ class MissingStrategyError(KeyError):
 class PayoffVector:
     """One exact payoff per player."""
 
-    p1: Fraction
-    p2: Fraction
+    p1: Rational
+    p2: Rational
 
-    def component(self, player: int) -> Fraction:
+    def component(self, player: int) -> Rational:
         if player == 1:
             return self.p1
         if player == 2:
@@ -178,12 +176,12 @@ class Strategy:
     """
 
     pure: dict[int, int]
-    mixed: dict[int, tuple[tuple[int, Fraction], ...]] = field(default_factory=dict)
+    mixed: dict[int, tuple[tuple[int, Rational], ...]] = field(default_factory=dict)
 
     def is_pure(self) -> bool:
         return all(
             sum(1 for _, pr in entries if pr != 0) == 1
-            and all(pr in (0, ONE) for _, pr in entries)
+            and all(pr in (0, 1) for _, pr in entries)
             for entries in self.mixed.values()
         )
 
@@ -313,9 +311,9 @@ def _positive_int(tokens: list[str], k: int, what: str, lineno: int, body: str) 
 
 
 def _rational(
-    tokens: list[str], k: int, interned: dict[str, Fraction], lineno: int, body: str
-) -> Fraction:
-    """The k-th token as a rational; equal tokens share one Fraction."""
+    tokens: list[str], k: int, interned: dict[str, Rational], lineno: int, body: str
+) -> Rational:
+    """The k-th token as a rational; equal tokens share one value."""
     token = tokens[k]
     value = interned.get(token)
     if value is None:
@@ -359,7 +357,7 @@ def parse_game_tree(text: str) -> GameTree:
     Parsing takes time linear in the text: one pass over its tokens and a
     linear structural check, with validate() run only to word an error.
     Leaves whose payoff tokens are equal share one payoff index, in order
-    of first appearance, and equal rational tokens share one Fraction.
+    of first appearance, and equal rational tokens share one value.
     """
     lines = text.splitlines()
     controller: dict[int, int] = {}
@@ -368,7 +366,7 @@ def parse_game_tree(text: str) -> GameTree:
     index: dict[tuple[str, str], int] = {}
     payoffs: list[PayoffVector] = []
     root: int | None = None
-    rationals: dict[str, Fraction] = {}
+    rationals: dict[str, Rational] = {}
     for lineno, body, tokens in _content(lines, "gtree"):
         word = tokens[0]
         if word == "node":
@@ -443,12 +441,12 @@ def parse_strategy(text: str) -> Strategy:
 
     A single child with probability one is stored as a pure choice. Like
     parse_game_tree, one pass over the tokens; equal probability tokens
-    share one Fraction.
+    share one value.
     """
     lines = text.splitlines()
     pure: dict[int, int] = {}
-    mixed: dict[int, tuple[tuple[int, Fraction], ...]] = {}
-    rationals: dict[str, Fraction] = {}
+    mixed: dict[int, tuple[tuple[int, Rational], ...]] = {}
+    rationals: dict[str, Rational] = {}
     for lineno, body, tokens in _content(lines, "strategy"):
         if tokens[0] != "at":
             raise _error(f"expected 'at', got {tokens[0]!r}", lineno, body)
@@ -513,7 +511,7 @@ def check_strategy(tree: GameTree, strategy: Strategy) -> list[str]:
         if entries is None:
             problems.append(f"no entry for internal node {nid}")
             continue
-        total = Fraction(0)
+        total = 0
         for child, prob in entries:
             if child not in kids:
                 problems.append(f"node {nid}: {child} is not a child")
@@ -577,27 +575,33 @@ def binarize(tree: GameTree) -> GameTree:
 # -- unfolding ------------------------------------------------------------------
 
 
-def _unfolded_sizes(game: GameTree, binarized: bool) -> dict[int, int]:
-    """Per node, the node count of the tree it unfolds to, or with
-    `binarized` of that tree binarized: there an m-ary node counts m - 1,
-    so a one-child node, which binarize() splices out, counts nothing."""
+def _unfolded_sizes(game: GameTree) -> dict[int, tuple[int, int]]:
+    """Per node, the node and leaf counts of the tree it unfolds to."""
     children = game.children
-    sizes: dict[int, int] = {}
+    sizes: dict[int, tuple[int, int]] = {}
     for nid in game.post_order():
         kids = children.get(nid)
         if kids is None:
-            sizes[nid] = 1
-        else:
-            own = len(kids) - 1 if binarized else 1
-            sizes[nid] = own + sum(map(sizes.__getitem__, kids))
+            sizes[nid] = (1, 1)
+            continue
+        nodes, leaves = 1, 0
+        for child in kids:
+            n, k = sizes[child]
+            nodes += n
+            leaves += k
+        sizes[nid] = (nodes, leaves)
     return sizes
 
 
 def tree_sizes(game: GameTree) -> tuple[int, int]:
     """`len(tree)` and `len(binarize(tree))` of the tree that a game (a
-    tree or a DAG) unfolds to, counted over its distinct nodes."""
-    root = game.root
-    return _unfolded_sizes(game, False)[root], _unfolded_sizes(game, True)[root]
+    tree or a DAG) unfolds to, counted over its distinct nodes in one walk.
+
+    binarize() splices out one-child nodes and leaves every other internal
+    node binary, so a tree of k leaves binarizes to 2k - 1 nodes.
+    """
+    nodes, leaves = _unfolded_sizes(game)[game.root]
+    return nodes, 2 * leaves - 1
 
 
 def unfold(game: GameTree) -> GameTree:
@@ -607,7 +611,7 @@ def unfold(game: GameTree) -> GameTree:
     game's payoff indices and table.
     """
     g_controller, g_children, g_leaf = game.controller, game.children, game.leaf
-    sizes = _unfolded_sizes(game, False)
+    sizes = {nid: nodes for nid, (nodes, _) in _unfolded_sizes(game).items()}
     controller, children, leaf = {}, {}, {}
     stack = [(game.root, 1)]
     pop, push = stack.pop, stack.append
@@ -657,8 +661,7 @@ def evaluate(tree: GameTree, strategy: Strategy) -> dict[int, PayoffVector]:
         entries = mixed.get(nid)
         if entries is None:
             raise MissingStrategyError(f"strategy has no entry for internal node {nid}")
-        p1 = Fraction(0)
-        p2 = Fraction(0)
+        p1 = p2 = 0
         for child, prob in entries:
             if child not in kids:
                 raise ValueError(f"strategy at node {nid} names non-child {child}")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .gametree import GameTree, GtreeParseError, PayoffVector, tree_sizes, unfold
@@ -234,7 +233,7 @@ def build_dag(deal_: Deal, config: OhohConfig) -> GameTree:
     root = intern((1, tuple(contract1_children)))
     internal = {nid: node for node, nid in ids.items() if type(node[1]) is tuple}
     leaves = {nid: node for node, nid in ids.items() if type(node[1]) is not tuple}
-    payoffs = tuple(PayoffVector(Fraction(a), Fraction(b)) for a, b in leaves.values())
+    payoffs = tuple(PayoffVector(a, b) for a, b in leaves.values())
     controller = {nid: x for nid, (x, _) in internal.items()}
     children = {nid: kids for nid, (_, kids) in internal.items()}
     game = GameTree(root, controller, children, dict(zip(leaves, range(len(payoffs)))), payoffs)

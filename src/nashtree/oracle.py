@@ -168,8 +168,8 @@ def brute_contains(a: Ups, point: PayoffVector) -> bool:
 
 def _rep_points(box) -> list[PayoffVector]:
     x0, x1, y0, y1 = box
-    xs = (x0,) if x0 == x1 else (x0, (x0 + x1) / 2, x1)
-    ys = (y0,) if y0 == y1 else (y0, (y0 + y1) / 2, y1)
+    xs = (x0,) if x0 == x1 else (x0, Fraction(x0 + x1) / 2, x1)
+    ys = (y0,) if y0 == y1 else (y0, Fraction(y0 + y1) / 2, y1)
     return [PayoffVector(x, y) for x in xs for y in ys]
 
 
@@ -240,11 +240,12 @@ def random_tree(
 
     Binary shapes come from a uniform recursive split of the internal-node
     budget; controllers are uniform; payoffs are drawn (with repetition,
-    so ties are common) from a small value set. `max_arity > 2` draws each
-    node's arity uniformly and scatters the budget across children. With
-    `tie_bias` > 0, each payoff component reuses an already-drawn value of
-    the same player with that probability, making the exact-tie patterns
-    that stochastic equilibria feed on far more frequent.
+    so ties are common) from a small value set, used as given (whole
+    payoffs stay ints). `max_arity > 2` draws each node's arity uniformly
+    and scatters the budget across children. With `tie_bias` > 0, each
+    payoff component reuses an already-drawn value of the same player with
+    that probability, making the exact-tie patterns that stochastic
+    equilibria feed on far more frequent.
     """
     controller, children, leaf, payoffs = {}, {}, {}, []
     counter = itertools.count(1)
@@ -259,10 +260,8 @@ def random_tree(
 
     def payoff() -> PayoffVector:
         if tie_bias:
-            return PayoffVector(Fraction(draw(pools[0])), Fraction(draw(pools[1])))
-        return PayoffVector(
-            Fraction(rng.choice(payoff_values)), Fraction(rng.choice(payoff_values))
-        )
+            return PayoffVector(draw(pools[0]), draw(pools[1]))
+        return PayoffVector(rng.choice(payoff_values), rng.choice(payoff_values))
 
     def build(budget: int) -> int:
         nid = next(counter)

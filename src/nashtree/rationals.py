@@ -1,15 +1,24 @@
-"""Parsing and formatting of exact rationals as used in all text formats."""
+"""Parsing and formatting of exact rationals as used in all text formats.
+
+Exact values are `Rational`: an `int` when whole, a `Fraction` otherwise,
+never a `float`. An int compares and hashes equal to the equal Fraction
+and does both in C; `int / int` is a float, so every division of exact
+values needs a Fraction operand.
+"""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
 
+Rational = int | Fraction
+
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$", re.ASCII)
 
 
-def parse_rational(token: str) -> Fraction:
-    """Parse `p` or `p/q` (q > 0) into a Fraction.
+def parse_rational(token: str) -> Rational:
+    """Parse `p` or `p/q` (q > 0) into an int when the reduced value is
+    whole (`3`, `6/2`, `-0`) and a Fraction otherwise.
 
     Raises ValueError on malformed tokens or a zero denominator.
     """
@@ -17,14 +26,18 @@ def parse_rational(token: str) -> Fraction:
     if not m:
         raise ValueError(f"malformed rational {token!r}")
     num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) is not None else 1
+    if m.group(2) is None:
+        return num
+    den = int(m.group(2))
     if den == 0:
         raise ValueError(f"zero denominator in rational {token!r}")
-    return Fraction(num, den)
+    value = Fraction(num, den)
+    return value.numerator if value.denominator == 1 else value
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction reduced, as `p` for integers and `p/q` otherwise."""
+def format_rational(value: Rational) -> str:
+    """Render an int or a Fraction reduced, as `p` when whole and `p/q`
+    otherwise."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

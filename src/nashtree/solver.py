@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .gametree import GameTree, PayoffVector, Strategy, _dag_post_order
+from .rationals import Rational
 from .ups import (
     PayoffGrid,
     Ups,
@@ -34,8 +35,6 @@ from .ups import (
     singleton_ups,
 )
 
-ONE = Fraction(1)
-
 CRITERIA = ("social", "fair", "max", "best1", "best2")
 
 
@@ -47,7 +46,7 @@ class AlgebraInconsistencyError(RuntimeError):
     """The extraction walk hit a state the set algebra says cannot happen."""
 
 
-def criterion_value(criterion: str, v: PayoffVector) -> Fraction:
+def criterion_value(criterion: str, v: PayoffVector) -> Rational:
     """The quantity a criterion maximizes, evaluated at one payoff vector."""
     if criterion == "social":
         return v.p1 + v.p2
@@ -139,8 +138,8 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
     Saturated flags are a canonical form, so sets are interned by their
     four flag ints and equal sets share one `Ups` object; a merge is then
     keyed by (controller, left object, right object). Keys hold ints and
-    object ids only: hashing the `Fraction` payoffs costs more than the
-    sharing saves on small trees.
+    object ids only, never payoffs: a `PayoffVector` hashes in Python
+    code, and interning by flags already shares equal leaf sets.
     """
     grid = build_grid(tree)
     controller, children, leaf, payoffs = tree.controller, tree.children, tree.leaf, tree.payoffs
@@ -260,7 +259,7 @@ def _nearest_leq(pts: int, segs: int, axis, w):
     return None
 
 
-def _point_on_axis(x: int, v: Fraction, other: Fraction) -> PayoffVector:
+def _point_on_axis(x: int, v: Rational, other: Rational) -> PayoffVector:
     return PayoffVector(v, other) if x == 1 else PayoffVector(other, v)
 
 
@@ -325,9 +324,10 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
     by_node = set_map.by_node
     grid = set_map.grid
     controller, children, leaf, payoffs = tree.controller, tree.children, tree.leaf, tree.payoffs
-    # The caches are keyed by object ids, never by Fraction values. Sets are
-    # interned by the solve, a punishment point is one object per set, and a
-    # reused step hands out its stored child targets, so repeated work meets
+    # The caches are keyed by object ids, never by payoffs: a PayoffVector,
+    # and a mixed target's Fractions, hash in Python code. Sets are interned
+    # by the solve, a punishment point is one object per set, and a reused
+    # step hands out its stored child targets, so repeated work meets
     # repeated ids. Each step keeps its own target alive and the tree keeps
     # its payoff table alive, so no id is recycled during the walk.
     floors: dict[tuple[int, int], PayoffVector] = {}
@@ -371,7 +371,7 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
         return cid
 
     pure: dict[int, int] = {}
-    mixed: dict[int, tuple[tuple[int, Fraction], ...]] = {}
+    mixed: dict[int, tuple[tuple[int, Rational], ...]] = {}
     stack: list[tuple[int, int, PayoffVector]] = [(node, node, target)]
     push = stack.append
     while stack:
@@ -396,7 +396,7 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
                 rights.append(ur)
                 ur = set_map.merged[(x, id(by_node[child]), id(ur))]
         entries = ()
-        reach = ONE  # None once an earlier link has committed left
+        reach = 1  # None once an earlier link has committed left
         k = 0
         while k < last:
             child = kids[k]
@@ -481,7 +481,7 @@ def _extraction_step(grid, has, floor, x, ul, ur, want, nid, at_start):
         raise AlgebraInconsistencyError(
             f"degenerate mixing pair at node {nid} for {want}"
         )
-    lam = (w - yt) / (ys - yt)
+    lam = Fraction(w - yt) / (ys - yt)
     return (lam, 1 - lam), _point_on_axis(x, want_x, ys), _point_on_axis(x, want_x, yt)
 
 

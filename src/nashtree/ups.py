@@ -71,12 +71,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .gametree import GameTree, PayoffVector
-from .rationals import format_rational
+from .rationals import Rational, format_rational
 
 
 class GridMismatchError(ValueError):
@@ -124,8 +123,8 @@ def _lane_layout(first: int, spread: int, step: int, length: int) -> _Lanes:
 class PayoffGrid:
     """Strictly increasing per-player payoff value lists (the grid axes)."""
 
-    u1: tuple[Fraction, ...]
-    u2: tuple[Fraction, ...]
+    u1: tuple[Rational, ...]
+    u2: tuple[Rational, ...]
     work: WorkMeter = field(default_factory=WorkMeter, compare=False, repr=False)
 
     def __post_init__(self):
@@ -161,11 +160,11 @@ class PayoffGrid:
         }
 
     @cached_property
-    def index1(self) -> dict[Fraction, int]:
+    def index1(self) -> dict[Rational, int]:
         return {v: i for i, v in enumerate(self.u1)}
 
     @cached_property
-    def index2(self) -> dict[Fraction, int]:
+    def index2(self) -> dict[Rational, int]:
         return {v: j for j, v in enumerate(self.u2)}
 
 
@@ -188,8 +187,8 @@ def _same_grid(a: Ups, b: Ups) -> None:
 def build_grid(tree: GameTree) -> PayoffGrid:
     """Sorted, deduplicated per-player payoff lists of a tree's leaves.
 
-    Each entry of the payoff table that a leaf uses is read once, before
-    any `Fraction` is hashed.
+    Each entry of the payoff table that a leaf uses is read once, however
+    many leaves share it.
     """
     payoffs = [tree.payoffs[i] for i in set(tree.leaf.values())]
     if not payoffs:
@@ -237,7 +236,7 @@ def saturate(a: Ups) -> Ups:
 _ON, _BETWEEN, _OUT = 0, 1, 2
 
 
-def _locate(axis: tuple[Fraction, ...], v) -> tuple[int, int]:
+def _locate(axis: tuple[Rational, ...], v) -> tuple[int, int]:
     pos = bisect_left(axis, v)
     if pos < len(axis) and axis[pos] == v:
         return _ON, pos
@@ -435,7 +434,7 @@ def is_single_point(a: Ups) -> bool:
     return (a.l1 | a.l2 | a.d) == 0 and a.p.bit_count() == 1
 
 
-def cross_section(a: Ups, x: int, v: Fraction) -> tuple[int, int]:
+def cross_section(a: Ups, x: int, v: Rational) -> tuple[int, int]:
     """Slice the set at coordinate `v` along player x's axis.
 
     Returns (points, segments) bitsets indexed by the other player's grid:
