@@ -193,7 +193,8 @@ def brute_merge(a: Ups, b: Ups, x: int, which: str = "merge") -> Ups:
 
     `which` is one of "ldet" (keep points of `a` no worse for player x
     than the worst of `b`), "random" (convex combinations of x-indifferent
-    pairs), or "merge" (their union together with the mirrored "ldet").
+    pairs), "merge" (their union together with the mirrored "ldet"), or
+    "deterministic" (the two "ldet"s without "random").
     Evaluated by representative-point membership on every basis element.
     """
     ba, bb = _BruteSet(a), _BruteSet(b)
@@ -221,6 +222,8 @@ def brute_merge(a: Ups, b: Ups, x: int, which: str = "merge") -> Ups:
         member = in_random
     elif which == "merge":
         member = lambda pt: in_random(pt) or in_ldet_ab(pt) or in_ldet_ba(pt)
+    elif which == "deterministic":
+        member = lambda pt: in_ldet_ab(pt) or in_ldet_ba(pt)
     else:
         raise ValueError(f"unknown merge kind {which!r}")
     return expected_ups(a.grid, member)

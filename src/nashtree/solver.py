@@ -137,20 +137,23 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
 
     Saturated flags are a canonical form, so sets are interned by their
     four flag ints and equal sets share one `Ups` object; a merge is then
-    keyed by (controller, left object, right object). Keys hold ints and
-    object ids only, never payoffs: a `PayoffVector` hashes in Python
-    code, and interning by flags already shares equal leaf sets.
+    keyed by (controller, left object, right object). A single point is
+    interned by its grid position instead, which every one-point leaf and
+    merge result carries, so its flag ints are never hashed. Keys hold
+    ints and object ids only, never payoffs: a `PayoffVector` hashes in
+    Python code, and interning by position already shares equal leaf sets.
     """
     grid = build_grid(tree)
     controller, children, leaf, payoffs = tree.controller, tree.children, tree.leaf, tree.payoffs
-    interned: dict[tuple[int, int, int, int], Ups] = {}
+    interned: dict[tuple[int, int, int, int] | int, Ups] = {}
     leaves: dict[int, Ups] = {}  # by payoff index
     merged: dict[tuple[int, int, int], Ups] = {}
     by_node: dict[int, Ups] = {}
     merges = 0
 
     def intern(ups: Ups) -> Ups:
-        return interned.setdefault((ups.p, ups.l1, ups.l2, ups.d), ups)
+        key = (ups.p, ups.l1, ups.l2, ups.d) if ups.at is None else ups.at
+        return interned.setdefault(key, ups)
 
     for nid in tree.post_order():
         kids = children.get(nid)

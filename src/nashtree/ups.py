@@ -44,6 +44,19 @@ order, so elsewhere a player-1 floor is the row of the lowest flag, found
 with no smear, and the lanes at or above it are every bit from its
 marker up.
 
+Single points
+-------------
+Most sets the solver makes are one point: every leaf's, and every merge
+of two points that pay the controller differently. Such a set carries the
+point's bit in `Ups.at`; if `at` is set, the set is exactly that point.
+Equality, hashing and dumps ignore it. `singleton_ups` sets it, and so do
+`merge` and `merge_deterministic` on every result that is one point, so
+the solver interns single points by position, not by hashing their flag
+ints. Both merges answer two points in different player-x lanes with the
+operand in the higher lane, in O(1), as neither can mix across lanes;
+a tie goes on to the flag kernel. `min_point` and `is_single_point`
+answer from the position.
+
 Instrumentation
 ---------------
 Every grid carries its own `WorkMeter` (`PayoffGrid.work`). The
@@ -54,8 +67,8 @@ per big-int shift, AND, OR, negation or multiply actually done, so
 callers can check that each merge does O(n1 * n2) flag work. `merge`
 counts fewer than the operators it fuses: it skips their repeated
 smears, and a span skips its upward smear when the operands share no
-lane. Queries (`contains`, `min_point`, `cross_section`, flag
-enumeration) count nothing.
+lane. A merge answered from two positions counts nothing, and so do
+queries (`contains`, `min_point`, `cross_section`, flag enumeration).
 
 The solver builds one grid per fold, so these counts belong to that one
 solve, also when solves run in parallel threads. `SetMap.flag_ops` is
@@ -126,6 +139,8 @@ class PayoffGrid:
     u1: tuple[Rational, ...]
     u2: tuple[Rational, ...]
     work: WorkMeter = field(default_factory=WorkMeter, compare=False, repr=False)
+    n1: int = field(init=False, compare=False, repr=False)
+    n2: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for axis in (self.u1, self.u2):
@@ -133,14 +148,8 @@ class PayoffGrid:
                 raise ValueError("grid axes must be nonempty")
             if any(a >= b for a, b in zip(axis, axis[1:])):
                 raise ValueError("grid axes must be strictly increasing")
-
-    @property
-    def n1(self) -> int:
-        return len(self.u1)
-
-    @property
-    def n2(self) -> int:
-        return len(self.u2)
+        object.__setattr__(self, "n1", len(self.u1))
+        object.__setattr__(self, "n2", len(self.u2))
 
     @cached_property
     def row_mask(self) -> int:
@@ -177,6 +186,29 @@ class Ups:
     l1: int
     l2: int
     d: int
+    # The bit of the one point, on a set that is exactly that point.
+    at: int | None = field(default=None, compare=False, repr=False)
+
+
+def _result(grid: PayoffGrid, p: int, l1: int, l2: int, d: int) -> Ups:
+    """A merge's result, carrying its position if it is one point."""
+    if l1 or l2 or d or p.bit_count() != 1:
+        return Ups(grid, p, l1, l2, d)
+    return Ups(grid, p, 0, 0, 0, p.bit_length() - 1)
+
+
+def _higher_point(a: Ups, b: Ups, x: int) -> Ups | None:
+    """Of two single points in different player-x lanes, the one in the
+    higher lane: what `merge` and `merge_deterministic` yield, as nothing
+    mixes across lanes and the lower point is below the other's floor.
+    None if either is not a known point or both share a lane."""
+    if a.at is None or b.at is None:
+        return None
+    n2 = a.grid.n2
+    la, lb = (a.at // n2, b.at // n2) if x == 1 else (a.at % n2, b.at % n2)
+    if la == lb:
+        return None
+    return a if la > lb else b
 
 
 def _same_grid(a: Ups, b: Ups) -> None:
@@ -184,17 +216,34 @@ def _same_grid(a: Ups, b: Ups) -> None:
         raise GridMismatchError("operands are on different payoff grids")
 
 
+# Most flag bits the leaf sets of one solve may span: distinct leaf payoffs
+# times grid points, as each distinct leaf payoff gets a flag int of up to
+# n1 * n2 bits. 2^34 bits is 2 GiB; a 2000-leaf tree with all-distinct
+# payoffs needs about 8 * 10^9 of them, a 3000-leaf one 2.7 * 10^10.
+GRID_BUDGET = 1 << 34
+
+
 def build_grid(tree: GameTree) -> PayoffGrid:
     """Sorted, deduplicated per-player payoff lists of a tree's leaves.
 
     Each entry of the payoff table that a leaf uses is read once, however
-    many leaves share it.
+    many leaves share it. Raises ValueError, before any set is made, when
+    the leaf sets would exceed `GRID_BUDGET` bits.
     """
     payoffs = [tree.payoffs[i] for i in set(tree.leaf.values())]
     if not payoffs:
         raise ValueError("tree has no leaves")
     xs = {v.p1 for v in payoffs}
     ys = {v.p2 for v in payoffs}
+    cells = len(xs) * len(ys)
+    if len(payoffs) * cells > GRID_BUDGET:
+        distinct = len({(v.p1, v.p2) for v in payoffs})
+        if distinct * cells > GRID_BUDGET:
+            raise ValueError(
+                f"payoff grid too large: {distinct} distinct leaf payoffs on a "
+                f"{len(xs)} x {len(ys)} grid need {distinct * cells} flag bits, "
+                f"over the budget of {GRID_BUDGET}"
+            )
     return PayoffGrid(tuple(sorted(xs)), tuple(sorted(ys)))
 
 
@@ -203,7 +252,8 @@ def singleton_ups(grid: PayoffGrid, payoff: PayoffVector) -> Ups:
     j = grid.index2.get(payoff.p2)
     if i is None or j is None:
         raise ValueError(f"payoff {payoff} is not on the grid")
-    return Ups(grid, 1 << (i * grid.n2 + j), 0, 0, 0)
+    at = i * grid.n2 + j
+    return Ups(grid, 1 << at, 0, 0, 0, at)
 
 
 def is_empty(a: Ups) -> bool:
@@ -353,12 +403,15 @@ def min_point(a: Ups, x: int) -> PayoffVector:
     flagged point.
     """
     grid = a.grid
-    if a.p == 0:
-        raise EmptySetError("minimum of an empty set")
     lanes = _player_lanes(grid, x)
-    # The lowest flag of the lowest lane; for x = 1 that is the lowest flag.
-    lane = a.p if x == 1 else a.p & _lowest_lane(lanes, _low(lanes, a.p)) * lanes.spread
-    i, j = divmod((lane & -lane).bit_length() - 1, grid.n2)
+    at = a.at
+    if at is None:
+        if a.p == 0:
+            raise EmptySetError("minimum of an empty set")
+        # The lowest flag of the lowest lane; for x = 1 that is the lowest flag.
+        lane = a.p if x == 1 else a.p & _lowest_lane(lanes, _low(lanes, a.p)) * lanes.spread
+        at = (lane & -lane).bit_length() - 1
+    i, j = divmod(at, grid.n2)
     return PayoffVector(grid.u1[i], grid.u2[j])
 
 
@@ -404,6 +457,9 @@ def merge(a: Ups, b: Ups, x: int) -> Ups:
     _same_grid(a, b)
     grid = a.grid
     lanes = _player_lanes(grid, x)
+    point = _higher_point(a, b, x)
+    if point is not None:
+        return point
     if not (a.p and b.p):
         raise EmptySetError("merge needs two nonempty sets")
     work = grid.work
@@ -412,7 +468,7 @@ def merge(a: Ups, b: Ups, x: int) -> Ups:
     ap, al1, al2, ad = _at_or_above(a, lanes, work, x, _lowest_lane(lanes, low_b))
     bp, bl1, bl2, bd = _at_or_above(b, lanes, work, x, _lowest_lane(lanes, low_a))
     work.flag_ops += 6 * len(lanes.smears) + 14
-    return Ups(grid, mp | ap | bp, ml1 | al1 | bl1, ml2 | al2 | bl2, md | ad | bd)
+    return _result(grid, mp | ap | bp, ml1 | al1 | bl1, ml2 | al2 | bl2, md | ad | bd)
 
 
 def merge_deterministic(a: Ups, b: Ups, x: int) -> Ups:
@@ -421,17 +477,20 @@ def merge_deterministic(a: Ups, b: Ups, x: int) -> Ups:
     _same_grid(a, b)
     grid = a.grid
     lanes = _player_lanes(grid, x)
+    point = _higher_point(a, b, x)
+    if point is not None:
+        return point
     if not (a.p and b.p):
         raise EmptySetError("merge_deterministic needs two nonempty sets")
     work = grid.work
     ap, al1, al2, ad = _at_or_above(a, lanes, work, x, _floor(grid, lanes, x, b.p))
     bp, bl1, bl2, bd = _at_or_above(b, lanes, work, x, _floor(grid, lanes, x, a.p))
     work.flag_ops += 4
-    return Ups(grid, ap | bp, al1 | bl1, al2 | bl2, ad | bd)
+    return _result(grid, ap | bp, al1 | bl1, al2 | bl2, ad | bd)
 
 
 def is_single_point(a: Ups) -> bool:
-    return (a.l1 | a.l2 | a.d) == 0 and a.p.bit_count() == 1
+    return a.at is not None or ((a.l1 | a.l2 | a.d) == 0 and a.p.bit_count() == 1)
 
 
 def cross_section(a: Ups, x: int, v: Rational) -> tuple[int, int]:

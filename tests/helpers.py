@@ -41,6 +41,7 @@ from nashtree.ups import (
     iter_flags,
     min_point,
     saturate,
+    singleton_ups,
     ups_from_flags,
 )
 
@@ -195,14 +196,23 @@ def edge_case_pair(rng: random.Random) -> tuple[Ups, Ups]:
     """Two saturated sets on a grid shaped to stress the lane kernel.
 
     The grid is 1 x k, k x 1 or random, and each set is random, has all
-    its flags in one row or one column (one lane of either player), or
-    has every flag set.
+    its flags in one row or one column (one lane of either player), has
+    every flag set, or is one point that carries its grid position
+    (`singleton_ups`). A second point is drawn afresh, or shares the
+    first one's row, its column or both, each a quarter of the time.
     """
     k = rng.randint(1, 7)
     n1, n2 = rng.choice([(1, k), (k, 1), (rng.randint(2, 6), rng.randint(2, 6))])
     grid = _grid(rng, n1, n2)
+    points: list[tuple[int, int]] = []
 
     def one(mode: str) -> Ups:
+        if mode == "point":
+            i, j = rng.randrange(n1), rng.randrange(n2)
+            if points:
+                i, j = rng.choice([(i, j), (points[0][0], j), (i, points[0][1]), points[0]])
+            points.append((i, j))
+            return singleton_ups(grid, PayoffVector(grid.u1[i], grid.u2[j]))
         flags = random_flags(rng, grid, 1.0 if mode == "full" else 0.3)
         if mode == "row":
             row = rng.randrange(n1)
@@ -212,7 +222,7 @@ def edge_case_pair(rng: random.Random) -> tuple[Ups, Ups]:
             flags = [f for f in flags if f[0] in ("P", "L1") and f[2] == column]
         return saturate(ups_from_flags(grid, flags))
 
-    modes = ("random", "row", "column", "full")
+    modes = ("random", "row", "column", "full", "point")
     return one(rng.choice(modes)), one(rng.choice(modes))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -6,9 +7,10 @@ import pytest
 
 from nashtree import cli, experiment
 from nashtree.cli import _build_parser, main
-from nashtree.gametree import parse_game_tree, serialize_game_tree
+from nashtree.gametree import PayoffVector, parse_game_tree, serialize_game_tree
 from nashtree.ohoh import TREE_NODE_BUDGET, parse_deal
 from nashtree.oracle import MAX_SAMPLES, STRATEGY_CAP, random_tree
+from nashtree.ups import GRID_BUDGET, build_grid
 
 from .conftest import DATA
 
@@ -51,6 +53,45 @@ class TestSolve:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert target.read_text() == "value 1000 4\n"
+
+
+def _distinct_payoff_chain(leaves: int) -> str:
+    """`.gtree` text of a chain whose leaves all pay distinct values, so
+    the payoff grid is leaves x leaves."""
+    lines = ["gtree v1", "root 1"]
+    for k in range(1, leaves - 1):
+        lines.append(f"node {k} player {k % 2 + 1} children {k + 1} {leaves + k}")
+    lines.append(f"node {leaves - 1} player 1 children {leaves} {2 * leaves - 1}")
+    lines += [f"leaf {leaves + k} payoff {k} {leaves - 1 - k}" for k in range(leaves)]
+    return "\n".join(lines) + "\n"
+
+
+class TestGridBudget:
+    def test_grid_over_budget_is_input_error(self, tmp_path, capsys):
+        # 3000 distinct leaf payoffs on a 3000 x 3000 grid: 2.7e10 flag bits.
+        path = tmp_path / "wide.gtree"
+        path.write_text(_distinct_payoff_chain(3000))
+        assert main(["solve", "--input", str(path), "--criterion", "social"]) == 2
+        err = capsys.readouterr().err
+        assert "3000 distinct leaf payoffs on a 3000 x 3000 grid" in err
+        assert f"27000000000 flag bits, over the budget of {GRID_BUDGET}" in err
+
+    def test_grid_under_budget_builds(self):
+        # 2000 leaves need 8e9 bits; only the grid is built here, no sets.
+        grid = build_grid(parse_game_tree(_distinct_payoff_chain(2000)))
+        assert (grid.n1, grid.n2) == (2000, 2000)
+        assert 2000 * grid.n1 * grid.n2 <= GRID_BUDGET
+
+    def test_repeated_payoff_entries_count_once(self):
+        # 5000 leaves, each with its own table entry, but only 2000 distinct
+        # payoffs: 2000 x 2000 x 2000 bits are within the budget.
+        leaves = 5000
+        parsed = parse_game_tree(_distinct_payoff_chain(leaves))
+        payoffs = tuple(PayoffVector(k % 2000, 1999 - k % 2000) for k in range(leaves))
+        tree = dataclasses.replace(parsed, payoffs=payoffs)
+        assert leaves * 2000 * 2000 > GRID_BUDGET
+        grid = build_grid(tree)
+        assert (grid.n1, grid.n2) == (2000, 2000)
 
 
 class TestVerify:

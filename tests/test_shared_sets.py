@@ -24,6 +24,7 @@ import threading
 from nashtree.gametree import (
     GameTree,
     binarize,
+    parse_game_tree,
     serialize_strategy,
 )
 from nashtree.ohoh import OhohConfig, build_tree, deal
@@ -164,6 +165,23 @@ def test_equal_sets_from_different_subtrees_merge_once():
         smap = compute(EQUAL_SETS)
         assert smap.merges == 7
         assert smap.distinct_merges == 5
+
+
+# Three leaves paying (1, 3): the lower merge yields the leaves' own point,
+# so the root's merge is the same (controller, left set, right set).
+EQUAL_POINTS = (
+    "gtree v1\nroot 1\nnode 1 player 1 children 2 3\nnode 2 player 1 children 4 5\n"
+    "leaf 3 payoff 1 3\nleaf 4 payoff 1 3\nleaf 5 payoff 1 3\n"
+)
+
+
+def test_merged_single_point_shares_the_leaf_set():
+    # Parsed, the leaves share one payoff entry; built, each has its own.
+    for tree in (parse_game_tree(EQUAL_POINTS), _tree((1, (1, (1, 3), (1, 3)), (1, 3)))):
+        for compute in (compute_ups_all, compute_det_ups_all):
+            smap = compute(tree)
+            assert smap.merges == 2
+            assert smap.distinct_merges == 1
 
 
 def test_shared_sets_equal_memo_free_fold():
