@@ -218,9 +218,13 @@ def validate(tree: GameTree) -> list[str]:
                 parents[child] = nid
 
     # Cycle check over the child graph (independent of the parent map so a
-    # broken tree still gets a precise report).
+    # broken tree still gets a precise report), on each node's declared
+    # children, listed once so that a wide node is not re-filtered per step.
     WHITE, GRAY, BLACK = 0, 1, 2
     color = dict.fromkeys(declared, WHITE)
+    declared_kids = {
+        nid: tuple(c for c in kids if c in declared) for nid, kids in children.items()
+    }
     for start in sorted(declared):
         if color[start] != WHITE:
             continue
@@ -228,7 +232,7 @@ def validate(tree: GameTree) -> list[str]:
         color[start] = GRAY
         while stack:
             nid, idx = stack[-1]
-            kids = tuple(c for c in children.get(nid, ()) if c in declared)
+            kids = declared_kids.get(nid, ())
             if idx == len(kids):
                 color[nid] = BLACK
                 stack.pop()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -22,9 +23,6 @@ from .rationals import Rational
 from .ups import (
     PayoffGrid,
     Ups,
-    _BETWEEN,
-    _locate,
-    _ON,
     build_grid,
     cross_section,
     flag_position,
@@ -89,11 +87,11 @@ class SolveResult:
 class SetMap:
     """Per-node equilibrium payoff sets of a game tree or DAG, on a shared grid.
 
-    Equal sets are one shared object. `merges` counts binary merges, m - 1
-    per m-ary node: on a tree, the internal nodes of `binarize(tree)`; on
-    a game DAG, the sum of m - 1 over its distinct internal nodes, since
-    each is folded once. `merged` maps each distinct (controller, left set
-    id, right set id) to its merge, `distinct_merges` counts those, and
+    Equal sets are one shared object. `merges` counts binary merges, one
+    per link of each node's m-ary chain, so m - 1 per m-ary node; on a
+    game DAG it sums m - 1 over the distinct internal nodes, since each is
+    folded once. `merged` maps each distinct (controller, left set id,
+    right set id) to its merge, `distinct_merges` counts those, and
     `flag_ops` is their flag work.
     """
 
@@ -131,9 +129,10 @@ def any_nash(tree: GameTree) -> SolveResult:
 def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> SetMap:
     """Fold `combine` up the tree, computing each distinct merge once.
 
-    A node's children c0 .. c(m-1) fold right to left in `binarize`'s chain
-    order, combine(S(c0), combine(S(c1), ... S(c(m-1)))); one child passes
-    its set through.
+    A node's children c0 .. c(m-1) fold right to left as an m-ary chain of
+    m - 1 links, combine(S(c0), combine(S(c1), ... S(c(m-1)))), link k
+    combining ck with the merged set of the later children; one child
+    passes its set through.
 
     Saturated flags are a canonical form, so sets are interned by their
     four flag ints and equal sets share one `Ups` object; a merge is then
@@ -222,46 +221,6 @@ def select_optimal(root_ups: Ups, criterion: str) -> PayoffVector:
     return max(points, key=lambda v: (criterion_value(criterion, v), v.p1, v.p2))
 
 
-def _nearest_geq(pts: int, segs: int, axis, w):
-    kind, idx = _locate(axis, w)
-    if kind == _ON:
-        if pts >> idx & 1:
-            return w
-        start = idx + 1
-    elif kind == _BETWEEN:
-        if segs >> idx & 1:
-            return w
-        start = idx + 1
-    else:
-        if w > axis[-1]:
-            return None
-        start = 0
-    rest = pts >> start
-    if rest:
-        return axis[start + (rest & -rest).bit_length() - 1]
-    return None
-
-
-def _nearest_leq(pts: int, segs: int, axis, w):
-    kind, idx = _locate(axis, w)
-    if kind == _ON:
-        if pts >> idx & 1:
-            return w
-        end = idx - 1
-    elif kind == _BETWEEN:
-        if segs >> idx & 1:
-            return w
-        end = idx
-    else:
-        if w < axis[0]:
-            return None
-        end = len(axis) - 1
-    mask = pts & ((1 << (end + 1)) - 1) if end >= 0 else 0
-    if mask:
-        return axis[mask.bit_length() - 1]
-    return None
-
-
 def _point_on_axis(x: int, v: Rational, other: Rational) -> PayoffVector:
     return PayoffVector(v, other) if x == 1 else PayoffVector(other, v)
 
@@ -323,6 +282,9 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
     Each (node, target) pair is visited once; on a tree each node has one.
     A link's decision depends only on (controller, left set, right set,
     target), so it is made once per distinct tuple and reused.
+
+    Raises TargetNotInUpsError if `target` is not in the node's set; past
+    that check, a link where no case applies is an AlgebraInconsistencyError.
     """
     by_node = set_map.by_node
     grid = set_map.grid
@@ -408,10 +370,9 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
             key = (x, id(ul), id(ur), id(want))
             step = steps.get(key)
             if step is None:
-                at_start = nid == node and k == 1
-                step = steps[key] = (want, *_extraction_step(
-                    grid, has, floor, x, ul, ur, want, nid, at_start
-                ))
+                step = steps[key] = (
+                    want, *_extraction_step(grid, has, floor, x, ul, ur, want, nid)
+                )
             if rights:
                 ur = rights.pop()
             _, probs, want_left, want = step
@@ -453,7 +414,7 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
     return Extraction(game, strategy, origin)
 
 
-def _extraction_step(grid, has, floor, x, ul, ur, want, nid, at_start):
+def _extraction_step(grid, has, floor, x, ul, ur, want, nid):
     """One extraction decision at a link of node `nid`: (_LEFT, _RIGHT or the
     mixing probabilities, left target, right target). `has(u, point)` is
     set membership and `floor(u, x)` the set's minimal point for player x,
@@ -463,27 +424,26 @@ def _extraction_step(grid, has, floor, x, ul, ur, want, nid, at_start):
         return _LEFT, want, floor(ur, x)
     if has(ur, want) and want_x >= floor(ul, x).component(x):
         return _RIGHT, floor(ul, x), want
-    # Mixed case: both children must offer the controller exactly
-    # want_x, with the other player's payoffs bracketing the target.
+    # Mixed case. A mix needs both children to offer the controller exactly
+    # want_x, so each one's floor for x is at most want_x, and the target
+    # lies in neither child's set, or committing to that child would have
+    # applied. Under saturation a segment's ends are flagged points, so the
+    # section values nearest to the other player's target w are points: mix
+    # the lowest one strictly above w on one side with the highest strictly
+    # below it on the other (so the two never meet), left above first.
     w = want.component(3 - x)
     axis = grid.u2 if x == 1 else grid.u1
-    lp, ls = cross_section(ul, x, want_x)
-    rp, rs = cross_section(ur, x, want_x)
-    ys = _nearest_geq(lp, ls, axis, w)
-    yt = _nearest_leq(rp, rs, axis, w)
-    if ys is None or yt is None:
-        ys = _nearest_leq(lp, ls, axis, w)
-        yt = _nearest_geq(rp, rs, axis, w)
-    if ys is None or yt is None:
-        if at_start:
-            raise TargetNotInUpsError(f"target {want} is not attainable at node {nid}")
-        raise AlgebraInconsistencyError(
-            f"no extraction case applies at node {nid} for {want}"
-        )
-    if ys == yt:
-        raise AlgebraInconsistencyError(
-            f"degenerate mixing pair at node {nid} for {want}"
-        )
+    below = (1 << bisect_left(axis, w)) - 1
+    above = -1 << bisect_right(axis, w)
+    lp = cross_section(ul, x, want_x)[0]
+    rp = cross_section(ur, x, want_x)[0]
+    la, lb, ra, rb = lp & above, lp & below, rp & above, rp & below
+    if la and rb:
+        ys, yt = axis[(la & -la).bit_length() - 1], axis[rb.bit_length() - 1]
+    elif lb and ra:
+        ys, yt = axis[lb.bit_length() - 1], axis[(ra & -ra).bit_length() - 1]
+    else:
+        raise AlgebraInconsistencyError(f"no extraction case applies at node {nid} for {want}")
     lam = Fraction(w - yt) / (ys - yt)
     return (lam, 1 - lam), _point_on_axis(x, want_x, ys), _point_on_axis(x, want_x, yt)
 

@@ -74,8 +74,8 @@ The solver builds one grid per fold, so these counts belong to that one
 solve, also when solves run in parallel threads. `SetMap.flag_ops` is
 the grid's count after the fold: the flag work of the merges actually
 computed. `SetMap.merges` counts the binary merges the fold combines,
-m - 1 for a node with m children (so one per internal node of the
-binarized tree), while `SetMap.distinct_merges` counts only the merges
+one per link of a node's m-ary chain, so m - 1 for a node with m
+children, while `SetMap.distinct_merges` counts only the merges
 computed, one per distinct (controller, left set, right set), because
 equal sets are shared and a repeated merge is looked up.
 """

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,23 @@ class TestExitCodes:
         assert main(["solve", "--input", str(bad), "--criterion", "social"]) == 2
         err = capsys.readouterr().err
         assert "input error" in err and "undeclared child" in err
+
+    def test_wide_tree_with_unreachable_node_is_input_error_in_linear_time(
+        self, tmp_path, capsys
+    ):
+        # A malformed tree is worded by validate(), whose cycle walk must not
+        # re-filter a wide node's children at every step.
+        width = 30_000
+        kids = " ".join(str(k) for k in range(2, width + 2))
+        leaves = "".join(f"leaf {k} payoff 0 0\n" for k in range(2, width + 3))
+        bad = tmp_path / "wide.gtree"
+        bad.write_text(f"gtree v1\nroot 1\nnode 1 player 1 children {kids}\n{leaves}")
+        start = time.perf_counter()
+        assert main(["solve", "--input", str(bad), "--criterion", "social"]) == 2
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert f"node {width + 2} unreachable from root 1" in err
+        assert elapsed < 5.0, elapsed
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ from nashtree.gametree import (
     parse_game_tree,
 )
 from nashtree.ohoh import OhohConfig, build_tree, deal
+from nashtree import solver
 from nashtree.oracle import enumerate_pure_spe, random_tree, sample_ups_points
 from nashtree.solver import (
     CRITERIA,
+    AlgebraInconsistencyError,
     TargetNotInUpsError,
     any_nash,
     best_deterministic_nash,
@@ -22,6 +25,7 @@ from nashtree.solver import (
     compute_det_ups_all,
     compute_ups_all,
     criterion_value,
+    extract,
     extract_strategy,
     select_optimal,
 )
@@ -190,6 +194,48 @@ class TestExtractStrategy:
         smap = compute_ups_all(demo_tree)
         with pytest.raises(TargetNotInUpsError):
             extract_strategy(demo_tree, smap, demo_tree.root, pv(0, 0))
+
+    def test_root_set_the_children_cannot_produce_is_an_algebra_fault(self, demo_tree):
+        # The target passes the start node's membership check, so a link
+        # where no case applies is a fault of the sets, not of the target.
+        smap = compute_ups_all(demo_tree)
+        target = pv(1000, 100)
+        assert not contains(smap.by_node[demo_tree.root], target)
+        forged = dataclasses.replace(
+            smap, by_node={**smap.by_node, demo_tree.root: singleton_ups(smap.grid, target)}
+        )
+        with pytest.raises(AlgebraInconsistencyError):
+            extract(demo_tree, forged, demo_tree.root, target)
+
+    def test_mixing_steps_bracket_a_target_in_neither_child(self, monkeypatch):
+        # A link mixes only when neither commit applies: then the target is
+        # in neither child's set, and the two section points it mixes lie
+        # strictly on either side of the other player's target value.
+        mixes = []
+        real_step = solver._extraction_step
+
+        def recorded_step(grid, has, floor, x, ul, ur, want, nid):
+            step = real_step(grid, has, floor, x, ul, ur, want, nid)
+            if isinstance(step[0], tuple):
+                mixes.append((x, ul, ur, want, step))
+            return step
+
+        monkeypatch.setattr(solver, "_extraction_step", recorded_step)
+        rng = random.Random(22)
+        for _ in range(150):
+            tree = random_tree(
+                rng, rng.randint(2, 9), (0, 1, 2, 3, 4, 5), max_arity=4, tie_bias=0.6
+            )
+            smap = compute_ups_all(tree)
+            for target in sample_ups_points(smap.by_node[tree.root], per_element=2, seed=3):
+                extract(tree, smap, tree.root, target)
+        assert len(mixes) > 100
+        for x, ul, ur, want, (probs, want_left, want_right) in mixes:
+            assert not contains(ul, want) and not contains(ur, want)
+            w, ys, yt = (v.component(3 - x) for v in (want, want_left, want_right))
+            assert min(ys, yt) < w < max(ys, yt)
+            assert want_left.component(x) == want_right.component(x) == want.component(x)
+            assert 0 < probs[0] < 1 and probs[0] + probs[1] == 1
 
     def test_every_sampled_point_extracts_exactly(self, demo_tree):
         smap = compute_ups_all(demo_tree)
