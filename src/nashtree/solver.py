@@ -26,6 +26,7 @@ from .ups import (
     build_grid,
     cross_section,
     flag_position,
+    holds,
     is_empty,
     merge,
     merge_deterministic,
@@ -137,8 +138,8 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
     Saturated flags are a canonical form, so sets are interned by their
     four flag ints and equal sets share one `Ups` object; a merge is then
     keyed by (controller, left object, right object). A single point is
-    interned by its grid position instead, which every one-point leaf and
-    merge result carries, so its flag ints are never hashed. Keys hold
+    interned by its grid position instead, the only thing it holds, and a
+    merge that returns one of its operands returns an interned set. Keys hold
     ints and object ids only, never payoffs: a `PayoffVector` hashes in
     Python code, and interning by position already shares equal leaf sets.
     """
@@ -173,7 +174,10 @@ def _compute_sets(tree: GameTree, combine: Callable[[Ups, Ups, int], Ups]) -> Se
             key = (x, id(a), id(acc))
             ups = merged.get(key)
             if ups is None:
-                ups = merged[key] = intern(combine(a, acc, x))
+                ups = combine(a, acc, x)
+                if ups is not a and ups is not acc:  # an operand is interned
+                    ups = intern(ups)
+                merged[key] = ups
             acc = ups
         by_node[nid] = acc
     return SetMap(
@@ -210,6 +214,8 @@ def select_optimal(root_ups: Ups, criterion: str) -> PayoffVector:
         raise ValueError(f"unknown criterion {criterion!r}")
     if is_empty(root_ups):
         raise ValueError("cannot select from an empty set")
+    if root_ups.at is not None:  # one point, read from its position
+        return min_point(root_ups, 1)
     grid = root_ups.grid
     points = []
     pts = root_ups.p
@@ -280,14 +286,17 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
     probability of reaching its link and going left; zeros are left out.
 
     Each (node, target) pair is visited once; on a tree each node has one.
-    A link's decision depends only on (controller, left set, right set,
-    target), so it is made once per distinct tuple and reused.
+    A link whose merge kept one side's set whole commits to that side with
+    no floor test (left first, if the target is in both): a link's target
+    lies in its merged set, and no point of a kept set lies below the other
+    set's floor for the controller. Any other link's decision depends only
+    on (controller, left set, right set, target), so it is made once per
+    distinct tuple and reused.
 
     Raises TargetNotInUpsError if `target` is not in the node's set; past
     that check, a link where no case applies is an AlgebraInconsistencyError.
     """
-    by_node = set_map.by_node
-    grid = set_map.grid
+    by_node, merged, grid = set_map.by_node, set_map.merged, set_map.grid
     controller, children, leaf, payoffs = tree.controller, tree.children, tree.leaf, tree.payoffs
     # The caches are keyed by object ids, never by payoffs: a PayoffVector,
     # and a mixed target's Fractions, hash in Python code. Sets are interned
@@ -312,7 +321,7 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
         where = places.get(id(point))
         if where is None:
             where = places[id(point)] = flag_position(grid, point)
-        return bool(getattr(u, where[0]) >> where[1] & 1)
+        return holds(u, *where)
 
     if not has(by_node[node], target):
         raise TargetNotInUpsError(f"target {target} is not attainable at node {node}")
@@ -359,7 +368,7 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
             rights = []
             for child in kids[last - 1:0:-1]:
                 rights.append(ur)
-                ur = set_map.merged[(x, id(by_node[child]), id(ur))]
+                ur = merged[(x, id(by_node[child]), id(ur))]
         entries = ()
         reach = 1  # None once an earlier link has committed left
         k = 0
@@ -367,15 +376,21 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
             child = kids[k]
             k += 1
             ul = by_node[child]
-            key = (x, id(ul), id(ur), id(want))
-            step = steps.get(key)
-            if step is None:
-                step = steps[key] = (
-                    want, *_extraction_step(grid, has, floor, x, ul, ur, want, nid)
-                )
+            kept = merged[(x, id(ul), id(ur))]  # a side kept whole commits
+            if kept is ul:
+                probs, want_left, want = _LEFT, want, floor(ur, x)
+            elif kept is ur and not has(ul, want):
+                probs, want_left = _RIGHT, floor(ul, x)
+            else:
+                key = (x, id(ul), id(ur), id(want))
+                step = steps.get(key)
+                if step is None:
+                    step = steps[key] = (
+                        want, *_extraction_step(grid, has, floor, x, ul, ur, want, nid)
+                    )
+                _, probs, want_left, want = step
             if rights:
                 ur = rights.pop()
-            _, probs, want_left, want = step
             first = asked.get(child)
             if first is None:
                 asked[child] = want_left

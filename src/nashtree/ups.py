@@ -47,15 +47,17 @@ marker up.
 Single points
 -------------
 Most sets the solver makes are one point: every leaf's, and every merge
-of two points that pay the controller differently. Such a set carries the
-point's bit in `Ups.at`; if `at` is set, the set is exactly that point.
-Equality, hashing and dumps ignore it. `singleton_ups` sets it, and so do
-`merge` and `merge_deterministic` on every result that is one point, so
-the solver interns single points by position, not by hashing their flag
-ints. Both merges answer two points in different player-x lanes with the
-operand in the higher lane, in O(1), as neither can mix across lanes;
-a tie goes on to the flag kernel. `min_point` and `is_single_point`
-answer from the position.
+of two points that pay the controller differently. Such a set is a
+`_Point`, which holds no flag int, only the point's bit `at`: its `p` is
+made on read and not kept, and equality, hashing and dumps are those of
+its flags. `singleton_ups` makes such sets, and so do `merge` and
+`merge_deterministic` of every result that is one point, so the solver
+interns single points by position, not by hashing their flag ints. Both
+merges answer two points in different player-x lanes with the operand in
+the higher lane, in O(1), as neither can mix across lanes; a tie goes on
+to the flag kernel. `min_point` (a point's floor), `is_single_point` and
+`contains` answer from the position. None of these reads the lane masks,
+so a solve whose merges are all answered from positions never builds them.
 
 Instrumentation
 ---------------
@@ -82,8 +84,9 @@ equal sets are shared and a repeated merge is looked up.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -177,24 +180,63 @@ class PayoffGrid:
         return {v: j for j, v in enumerate(self.u2)}
 
 
-@dataclass(frozen=True)
 class Ups:
-    """A saturated union of basis elements over `grid` (see module docs)."""
+    """A saturated union of basis elements over `grid` (see module docs).
 
-    grid: PayoffGrid
-    p: int
-    l1: int
-    l2: int
-    d: int
-    # The bit of the one point, on a set that is exactly that point.
-    at: int | None = field(default=None, compare=False, repr=False)
+    Immutable, and compared and hashed by its flags. A set that is exactly
+    one point may be a `_Point`, which holds only the point's bit `at`;
+    every other set has `at` None.
+    """
+
+    __slots__ = ("grid", "p", "l1", "l2", "d")
+    at = None
+
+    def __init__(self, grid: PayoffGrid, p: int, l1: int, l2: int, d: int):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "l1", l1)
+        object.__setattr__(self, "l2", l2)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Ups is immutable: cannot set {name!r}")
+
+    def _flags(self) -> tuple:
+        return self.grid, self.p, self.l1, self.l2, self.d
+
+    def __eq__(self, other):
+        return self._flags() == other._flags() if isinstance(other, Ups) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._flags())
+
+    def __reduce__(self):
+        return Ups, self._flags()
+
+    def __repr__(self):
+        return "Ups(grid={!r}, p={}, l1={}, l2={}, d={})".format(*self._flags())
+
+
+class _Point(Ups):
+    """The set of the one grid point at bit `at`; its `p` is made on each read."""
+
+    __slots__ = ("at",)
+    l1 = l2 = d = 0
+
+    def __init__(self, grid: PayoffGrid, at: int):
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "at", at)
+
+    @property
+    def p(self) -> int:
+        return 1 << self.at
 
 
 def _result(grid: PayoffGrid, p: int, l1: int, l2: int, d: int) -> Ups:
-    """A merge's result, carrying its position if it is one point."""
+    """A merge's result, holding only its position if it is one point."""
     if l1 or l2 or d or p.bit_count() != 1:
         return Ups(grid, p, l1, l2, d)
-    return Ups(grid, p, 0, 0, 0, p.bit_length() - 1)
+    return _Point(grid, p.bit_length() - 1)
 
 
 def _higher_point(a: Ups, b: Ups, x: int) -> Ups | None:
@@ -216,10 +258,12 @@ def _same_grid(a: Ups, b: Ups) -> None:
         raise GridMismatchError("operands are on different payoff grids")
 
 
-# Most flag bits the leaf sets of one solve may span: distinct leaf payoffs
-# times grid points, as each distinct leaf payoff gets a flag int of up to
-# n1 * n2 bits. 2^34 bits is 2 GiB; a 2000-leaf tree with all-distinct
-# payoffs needs about 8 * 10^9 of them, a 3000-leaf one 2.7 * 10^10.
+# Most flag bits the sets of one solve may span in the worst case: distinct
+# leaf payoffs times grid points. Single points hold no flag int, but with
+# ties a merge result holds flag ints of up to n1 * n2 bits, and a tree
+# with D distinct leaf payoffs has at least D - 1 merges. 2^34 bits is
+# 2 GiB; a 2000-leaf tree with all-distinct payoffs counts about 8 * 10^9
+# of them, a 3000-leaf one 2.7 * 10^10.
 GRID_BUDGET = 1 << 34
 
 
@@ -228,7 +272,8 @@ def build_grid(tree: GameTree) -> PayoffGrid:
 
     Each entry of the payoff table that a leaf uses is read once, however
     many leaves share it. Raises ValueError, before any set is made, when
-    the leaf sets would exceed `GRID_BUDGET` bits.
+    distinct leaf payoffs times grid points exceed `GRID_BUDGET`, the
+    worst case of the solve's flag bits.
     """
     payoffs = [tree.payoffs[i] for i in set(tree.leaf.values())]
     if not payoffs:
@@ -252,12 +297,11 @@ def singleton_ups(grid: PayoffGrid, payoff: PayoffVector) -> Ups:
     j = grid.index2.get(payoff.p2)
     if i is None or j is None:
         raise ValueError(f"payoff {payoff} is not on the grid")
-    at = i * grid.n2 + j
-    return Ups(grid, 1 << at, 0, 0, 0, at)
+    return _Point(grid, i * grid.n2 + j)
 
 
 def is_empty(a: Ups) -> bool:
-    return (a.p | a.l1 | a.l2 | a.d) == 0
+    return a.at is None and (a.p | a.l1 | a.l2 | a.d) == 0
 
 
 def union(a: Ups, b: Ups) -> Ups:
@@ -287,8 +331,14 @@ _ON, _BETWEEN, _OUT = 0, 1, 2
 
 
 def _locate(axis: tuple[Rational, ...], v) -> tuple[int, int]:
-    pos = bisect_left(axis, v)
-    if pos < len(axis) and axis[pos] == v:
+    lo, hi = 0, len(axis)
+    if type(v) is Fraction and v.denominator != 1:
+        # Bisect by the floor, so int entries are compared with ints only.
+        f = v.numerator // v.denominator
+        lo = bisect_right(axis, f)
+        hi = bisect_left(axis, f + 1, lo)
+    pos = bisect_left(axis, v, lo, hi)
+    if pos < hi and axis[pos] == v:
         return _ON, pos
     if 0 < pos < len(axis):
         return _BETWEEN, pos - 1
@@ -309,17 +359,22 @@ def flag_position(grid: PayoffGrid, point: PayoffVector) -> tuple[str, int]:
     return ("l1" if ky == _ON else "d"), i * grid.n2 + j
 
 
-def contains(a: Ups, point: PayoffVector) -> bool:
-    """Exact membership of a point in the represented set (`a` saturated)."""
-    kind, bit = flag_position(a.grid, point)
+def holds(a: Ups, kind: str, bit: int) -> bool:
+    """Whether `a` flags `bit` of flag grid `kind`, as `flag_position` names
+    them; a single point compares positions and shifts no flag int."""
+    if a.at is not None:
+        return bit == a.at and kind == "p"
     return bool(getattr(a, kind) >> bit & 1)
 
 
-def _player_lanes(grid: PayoffGrid, x: int) -> _Lanes:
-    lanes = grid.lanes.get(x)
-    if lanes is None:
+def contains(a: Ups, point: PayoffVector) -> bool:
+    """Exact membership of a point in the represented set (`a` saturated)."""
+    return holds(a, *flag_position(a.grid, point))
+
+
+def _check_player(x: int) -> None:
+    if x != 1 and x != 2:
         raise ValueError(f"player index must be 1 or 2, got {x}")
-    return lanes
 
 
 def _low(lanes: _Lanes, bits: int) -> int:
@@ -402,12 +457,13 @@ def min_point(a: Ups, x: int) -> PayoffVector:
     guarantees the represented set attains its player-x minimum at a
     flagged point.
     """
+    _check_player(x)
     grid = a.grid
-    lanes = _player_lanes(grid, x)
     at = a.at
     if at is None:
         if a.p == 0:
             raise EmptySetError("minimum of an empty set")
+        lanes = grid.lanes[x]
         # The lowest flag of the lowest lane; for x = 1 that is the lowest flag.
         lane = a.p if x == 1 else a.p & _lowest_lane(lanes, _low(lanes, a.p)) * lanes.spread
         at = (lane & -lane).bit_length() - 1
@@ -426,7 +482,8 @@ def merge_ldet(a: Ups, b: Ups, x: int) -> Ups:
     grid = a.grid
     if b.p == 0:
         raise EmptySetError("merge_ldet needs a nonempty second operand")
-    lanes = _player_lanes(grid, x)
+    _check_player(x)
+    lanes = grid.lanes[x]
     return Ups(grid, *_at_or_above(a, lanes, grid.work, x, _floor(grid, lanes, x, b.p)))
 
 
@@ -441,7 +498,8 @@ def merge_random(a: Ups, b: Ups, x: int) -> Ups:
     """
     _same_grid(a, b)
     grid = a.grid
-    lanes = _player_lanes(grid, x)
+    _check_player(x)
+    lanes = grid.lanes[x]
     grid.work.flag_ops += 6 * len(lanes.smears)
     return Ups(grid, *_mixes(grid, lanes, x, a, b, _low(lanes, a.p), _low(lanes, b.p)))
 
@@ -455,14 +513,14 @@ def merge(a: Ups, b: Ups, x: int) -> Ups:
     both `merge_ldet`s, in one pass that smears each operand's points once.
     """
     _same_grid(a, b)
-    grid = a.grid
-    lanes = _player_lanes(grid, x)
+    _check_player(x)
     point = _higher_point(a, b, x)
     if point is not None:
         return point
     if not (a.p and b.p):
         raise EmptySetError("merge needs two nonempty sets")
-    work = grid.work
+    grid = a.grid
+    lanes, work = grid.lanes[x], grid.work
     low_a, low_b = _low(lanes, a.p), _low(lanes, b.p)
     mp, ml1, ml2, md = _mixes(grid, lanes, x, a, b, low_a, low_b)
     ap, al1, al2, ad = _at_or_above(a, lanes, work, x, _lowest_lane(lanes, low_b))
@@ -475,14 +533,14 @@ def merge_deterministic(a: Ups, b: Ups, x: int) -> Ups:
     """Merge variant that never mixes, the union of both `merge_ldet`s; on
     point-only inputs the result is again point-only."""
     _same_grid(a, b)
-    grid = a.grid
-    lanes = _player_lanes(grid, x)
+    _check_player(x)
     point = _higher_point(a, b, x)
     if point is not None:
         return point
     if not (a.p and b.p):
         raise EmptySetError("merge_deterministic needs two nonempty sets")
-    work = grid.work
+    grid = a.grid
+    lanes, work = grid.lanes[x], grid.work
     ap, al1, al2, ad = _at_or_above(a, lanes, work, x, _floor(grid, lanes, x, b.p))
     bp, bl1, bl2, bd = _at_or_above(b, lanes, work, x, _floor(grid, lanes, x, a.p))
     work.flag_ops += 4

@@ -165,6 +165,17 @@ def share(tree: GameTree) -> GameTree:
     return game_tree(dag_id[tree.root], {i: node for node, i in ids.items()})
 
 
+def _distinct_payoff_chain(leaves: int) -> str:
+    """`.gtree` text of a chain whose leaves all pay distinct values, so
+    the payoff grid is leaves x leaves."""
+    lines = ["gtree v1", "root 1"]
+    for k in range(1, leaves - 1):
+        lines.append(f"node {k} player {k % 2 + 1} children {k + 1} {leaves + k}")
+    lines.append(f"node {leaves - 1} player 1 children {leaves} {2 * leaves - 1}")
+    lines += [f"leaf {leaves + k} payoff {k} {leaves - 1 - k}" for k in range(leaves)]
+    return "\n".join(lines) + "\n"
+
+
 def random_grid(rng: random.Random, max_side: int = 6, value_range: int = 12) -> PayoffGrid:
     n1 = rng.randint(1, max_side)
     n2 = rng.randint(1, max_side)

@@ -14,6 +14,7 @@ from nashtree.oracle import MAX_SAMPLES, STRATEGY_CAP, random_tree
 from nashtree.ups import GRID_BUDGET, build_grid
 
 from .conftest import DATA
+from .helpers import _distinct_payoff_chain
 
 DEMO = str(DATA / "multi_eq.gtree")
 
@@ -54,17 +55,6 @@ class TestSolve:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert target.read_text() == "value 1000 4\n"
-
-
-def _distinct_payoff_chain(leaves: int) -> str:
-    """`.gtree` text of a chain whose leaves all pay distinct values, so
-    the payoff grid is leaves x leaves."""
-    lines = ["gtree v1", "root 1"]
-    for k in range(1, leaves - 1):
-        lines.append(f"node {k} player {k % 2 + 1} children {k + 1} {leaves + k}")
-    lines.append(f"node {leaves - 1} player 1 children {leaves} {2 * leaves - 1}")
-    lines += [f"leaf {leaves + k} payoff {k} {leaves - 1 - k}" for k in range(leaves)]
-    return "\n".join(lines) + "\n"
 
 
 class TestGridBudget:

@@ -1,5 +1,7 @@
 import dataclasses
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -37,7 +39,16 @@ from nashtree.ups import (
     ups_from_flags,
 )
 
-from .helpers import Leaf, choices_of, empty_ups, equal_ups, game_tree, nodes_of, pv
+from .helpers import (
+    Leaf,
+    _distinct_payoff_chain,
+    choices_of,
+    empty_ups,
+    equal_ups,
+    game_tree,
+    nodes_of,
+    pv,
+)
 
 
 class TestAnyNash:
@@ -131,6 +142,25 @@ class TestComputeSets:
             for value in enumerate_pure_spe(tree):
                 assert contains(root, value)
             assert contains(root, any_nash(tree).value)
+
+    def test_wide_all_distinct_chain_stays_small(self):
+        # Every set of an all-distinct chain is one point: it holds no flag
+        # int of the 2000 x 2000 grid, and its merges and floors build no
+        # lane masks (534 MB traced peak when every point held its flags).
+        tree = parse_game_tree(_distinct_payoff_chain(2000))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            smap = compute_ups_all(tree)
+            value = select_optimal(smap.by_node[tree.root], "social")
+            found = extract(tree, smap, tree.root, value)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20 and elapsed < 2.0
+        assert "lanes" not in smap.grid.__dict__
+        assert evaluate(tree, found.strategy)[tree.root] == value
 
 
 class TestSelectOptimal:

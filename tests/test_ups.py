@@ -388,6 +388,52 @@ class TestEquality:
                                 memberships_agree = False
             assert equal_ups(sat_a, sat_b) == memberships_agree
 
+    def test_points_behave_as_their_flags(self):
+        # A point built from its position, whether by singleton_ups or by a
+        # merge whose result is one point, holds no flag int; it must still
+        # compare, hash, dump, answer membership and slice like its flags.
+        rng = random.Random(24)
+        for _ in range(40):
+            grid = random_grid(rng, max_side=5)
+            i, j = rng.randrange(grid.n1), rng.randrange(grid.n2)
+            plain = ups_from_flags(grid, [("P", i, j)])
+            point = singleton_ups(grid, pv(grid.u1[i], grid.u2[j]))
+            x = rng.randint(1, 2)
+            merged = (merge, merge_deterministic)[rng.randrange(2)](point, plain, x)
+            probes = [pv(a, b) for a in _probe_values(grid.u1) for b in _probe_values(grid.u2)]
+            for u in (point, merged):
+                assert u.at == i * grid.n2 + j and plain.at is None
+                assert u == plain and plain == u and hash(u) == hash(plain)
+                assert u.p == plain.p and serialize_ups(u) == serialize_ups(plain)
+                assert [contains(u, q) for q in probes] == [contains(plain, q) for q in probes]
+                for y, axis in ((1, grid.u1), (2, grid.u2)):
+                    for v in _probe_values(axis):
+                        assert cross_section(u, y, v) == cross_section(plain, y, v)
+                with pytest.raises(AttributeError):
+                    u.at = None
+
+
+def _probe_values(axis):
+    """Every axis value, the midpoints between them and one value beyond each end."""
+    mids = [(a + b) / 2 for a, b in zip(axis, axis[1:])]
+    return [axis[0] - 1, *axis, *mids, axis[-1] + Fraction(1, 2)]
+
+
+class TestPlayerIndex:
+    @pytest.mark.parametrize("x", [0, 3, -1])
+    def test_rejected_on_points_and_on_flag_sets(self, demo, x):
+        # u3 and u4 are points in different lanes of both players, which a
+        # merge answers from their positions; u1 and u2 go through the kernel.
+        grid, u1, u2, u3, u4, _ = demo
+        for a, b in ((u3, u4), (u1, u2)):
+            for op in (merge, merge_deterministic, merge_ldet, merge_random):
+                with pytest.raises(ValueError, match="player index"):
+                    op(a, b, x)
+            with pytest.raises(ValueError, match="player index"):
+                min_point(a, x)
+            with pytest.raises(ValueError, match="player index"):
+                cross_section(a, x, grid.u1[0])
+
 
 class TestCrossSection:
     def test_on_grid_column(self, demo):
