@@ -67,36 +67,30 @@ class ExperimentReport:
     def hands(self) -> int:
         return len(self.records)
 
+    def _share(self, count: int) -> Fraction:
+        """`count` as a fraction of the hands; 0 for an empty study."""
+        return Fraction(count, self.hands) if self.hands else Fraction(0)
+
     def multiple_equilibria_fraction(self) -> Fraction:
-        if not self.records:
-            return Fraction(0)
-        return Fraction(
-            sum(1 for r in self.records if r.multiple_equilibria), len(self.records)
-        )
+        return self._share(sum(1 for r in self.records if r.multiple_equilibria))
 
     def improvement_fraction(self, criterion: str) -> Fraction:
         """How often the optimal equilibrium strictly beats the arbitrary one."""
-        if not self.records:
-            return Fraction(0)
-        better = sum(
+        return self._share(sum(
             1
             for r in self.records
             if criterion_value(criterion, r.best_values[criterion])
             > criterion_value(criterion, r.any_value)
-        )
-        return Fraction(better, len(self.records))
+        ))
 
     def social_gap_fraction(self) -> Fraction:
         """How often mixing strictly beats every pure equilibrium on welfare."""
-        if not self.records:
-            return Fraction(0)
-        better = sum(
+        return self._share(sum(
             1
             for r in self.records
             if criterion_value("social", r.best_values["social"])
             > criterion_value("social", r.det_social_value)
-        )
-        return Fraction(better, len(self.records))
+        ))
 
     def timing_summary(self) -> dict[str, float]:
         if not self.records:

@@ -687,7 +687,7 @@ class EquilibriumCheck(NamedTuple):
 def is_equilibrium(tree: GameTree, strategy: Strategy) -> EquilibriumCheck:
     """Check local optimality at every node.
 
-    The controller of node i must not be able to improve her own component
+    The controller of node i must not be able to improve their own component
     of the node's value by deviating to any single child, i.e.
     value(i) >= value(j) for every child j, in the controller's component.
     Returns the deepest violating node (post-order) as witness on failure,

@@ -109,7 +109,7 @@ def trick_winner(button_card: Card, reply_card: Card, trump: str) -> bool:
 
 
 def score(contract: int, tricks_won: int, mode: str = "mirror") -> int:
-    """Payoff for one player given her contract and actual tricks."""
+    """Payoff for one player given that player's contract and actual tricks."""
     if tricks_won == contract:
         return 10 + contract
     if mode == "mirror":

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -21,8 +20,10 @@ from typing import Callable, NamedTuple
 from .gametree import GameTree, PayoffVector, Strategy, _dag_post_order
 from .rationals import Rational
 from .ups import (
+    _ON,
     PayoffGrid,
     Ups,
+    _locate,
     build_grid,
     cross_section,
     flag_position,
@@ -277,7 +278,10 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
 
     Walk top-down, each node as the chain of links its set was folded
     from: link k chooses between child k and the merged set of the later
-    children (`set_map.merged`). At each link, prefer committing left, then
+    children, so the last child is the last link's right side. Link k's
+    merged set is link k - 1's right-hand set, and link 0's is the node's
+    own; a node with three or more children rebuilds its later right-hand
+    sets from `set_map.merged`. At each link, prefer committing left, then
     right, and mix only when the target is attainable solely as a
     combination of controller-indifferent payoffs. The unchosen side is
     sent to its own worst payoff for the controller (the punishment that
@@ -332,18 +336,6 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
     origin: dict[int, int] = {}
     moved: dict[int, list[int]] = {}  # the child ids of each parent of copies
     last_id = 0  # the id of the latest copy, once there is one
-
-    def split(parent: int, position: int, child: int, want: PayoffVector) -> int:
-        nonlocal last_id
-        key = (child, want)
-        cid = copy_of.get(key)
-        if cid is None:
-            last_id = cid = copy_of[key] = (last_id or max(itertools.chain(children, leaf))) + 1
-            origin[cid] = child
-            push((cid, child, want))
-        moved.setdefault(parent, list(children[origin.get(parent, parent)]))[position] = cid
-        return cid
-
     pure: dict[int, int] = {}
     mixed: dict[int, tuple[tuple[int, Rational], ...]] = {}
     stack: list[tuple[int, int, PayoffVector]] = [(node, node, target)]
@@ -360,55 +352,55 @@ def extract(tree: GameTree, set_map: SetMap, node: int, target: PayoffVector) ->
                     )
                 leaves_paid.add(paid)
             continue
-        x = controller[nid]
         last = len(kids) - 1
-        # The first link's right-hand set, and (m > 2) the later links'.
-        ur, rights = by_node[kids[last]], None
-        if last > 1:
-            rights = []
-            for child in kids[last - 1:0:-1]:
-                rights.append(ur)
-                ur = merged[(x, id(by_node[child]), id(ur))]
+        rights = None
+        if last:  # a lone child, as at most nodes of a card tree, has no link
+            x, kept = controller[nid], by_node[nid]  # link 0's merged set
+            if last > 1:  # the right-hand sets of links 0 .. m - 3, link 0's last
+                ur, rights = by_node[kids[last]], []
+                for child in kids[last - 1:0:-1]:
+                    ur = merged[(x, id(by_node[child]), id(ur))]
+                    rights.append(ur)
         entries = ()
         reach = 1  # None once an earlier link has committed left
-        k = 0
-        while k < last:
-            child = kids[k]
+        k = -1
+        for child in kids:  # cheaper than enumerate() on one-child nodes
             k += 1
-            ul = by_node[child]
-            kept = merged[(x, id(ul), id(ur))]  # a side kept whole commits
-            if kept is ul:
-                probs, want_left, want = _LEFT, want, floor(ur, x)
-            elif kept is ur and not has(ul, want):
-                probs, want_left = _RIGHT, floor(ul, x)
+            if k == last:  # the last link's right side
+                probs, want_left = _LEFT, want
             else:
-                key = (x, id(ul), id(ur), id(want))
-                step = steps.get(key)
-                if step is None:
-                    step = steps[key] = (
-                        want, *_extraction_step(grid, has, floor, x, ul, ur, want, nid)
-                    )
-                _, probs, want_left, want = step
-            if rights:
-                ur = rights.pop()
+                ul = by_node[child]
+                ur = rights.pop() if rights else by_node[kids[last]]
+                if kept is ul:  # a side kept whole commits
+                    probs, want_left, want = _LEFT, want, floor(ur, x)
+                elif kept is ur and not has(ul, want):
+                    probs, want_left = _RIGHT, floor(ul, x)
+                else:
+                    key = (x, id(ul), id(ur), id(want))
+                    step = steps.get(key)
+                    if step is None:
+                        step = steps[key] = (
+                            want, *_extraction_step(grid, has, floor, x, ul, ur, want, nid)
+                        )
+                    _, probs, want_left, want = step
+                kept = ur  # the next link's merged set
             first = asked.get(child)
             if first is None:
                 asked[child] = want_left
                 push((child, child, want_left))
             elif first is not want_left and first != want_left:
-                child = split(gid, k - 1, child, want_left)
+                key = (child, want_left)
+                cid = copy_of.get(key)
+                if cid is None:
+                    last_id = cid = copy_of[key] = (
+                        last_id or max(itertools.chain(children, leaf))
+                    ) + 1
+                    origin[cid] = child
+                    push((cid, child, want_left))
+                moved.setdefault(gid, list(kids))[k] = child = cid
             if reach is not None and probs is not _RIGHT:
                 entries += ((child, reach if probs is _LEFT else reach * probs[0]),)
                 reach = None if probs is _LEFT else reach * probs[1]
-        child = kids[last]
-        first = asked.get(child)
-        if first is None:
-            asked[child] = want
-            push((child, child, want))
-        elif first is not want and first != want:
-            child = split(gid, last, child, want)
-        if reach is not None:
-            entries += ((child, reach),)
         # A lone entry has probability one; a mix leaves two or more.
         if len(entries) == 1:
             pure[gid] = entries[0][0]
@@ -448,8 +440,9 @@ def _extraction_step(grid, has, floor, x, ul, ur, want, nid):
     # below it on the other (so the two never meet), left above first.
     w = want.component(3 - x)
     axis = grid.u2 if x == 1 else grid.u1
-    below = (1 << bisect_left(axis, w)) - 1
-    above = -1 << bisect_right(axis, w)
+    kind, pos = _locate(axis, w)  # off the axis pos is -1, nothing is below and none mix
+    above = -1 << (pos + 1)
+    below = (1 << pos) - 1 if kind == _ON else ~above
     lp = cross_section(ul, x, want_x)[0]
     rp = cross_section(ur, x, want_x)[0]
     la, lb, ra, rb = lp & above, lp & below, rp & above, rp & below

@@ -40,6 +40,7 @@ from nashtree.ups import (
 )
 
 from .helpers import (
+    Internal,
     Leaf,
     _distinct_payoff_chain,
     choices_of,
@@ -266,6 +267,46 @@ class TestExtractStrategy:
             assert min(ys, yt) < w < max(ys, yt)
             assert want_left.component(x) == want_right.component(x) == want.component(x)
             assert 0 < probs[0] < 1 and probs[0] + probs[1] == 1
+
+    def test_kept_sides_commit_at_every_link_without_a_step(self, monkeypatch):
+        # When every leaf pays distinct values, every set is one point and
+        # every merge returns one of its operands, so each link, first,
+        # middle or last, commits through its merged set alone.
+        steps = []
+        real_step = solver._extraction_step
+
+        def recorded_step(*args):
+            steps.append(args)
+            return real_step(*args)
+
+        monkeypatch.setattr(solver, "_extraction_step", recorded_step)
+        three = game_tree(1, {
+            1: Internal(1, (2, 3, 4)),
+            2: Leaf(pv(4, 5)), 3: Leaf(pv(3, 1)), 4: Leaf(pv(2, 7)),
+        })
+        smap = compute_ups_all(three)
+        for criterion in CRITERIA:
+            target = select_optimal(smap.by_node[1], criterion)
+            assert choices_of(extract(three, smap, 1, target).strategy) == {1: ((2, 1),)}
+        assert steps == []
+        rng = random.Random(25)
+        wide = 0
+        for _ in range(300):
+            tree = random_tree(rng, rng.randint(1, 12), max_arity=5)
+            leaves = tree.leaf_ids()
+            p1s = rng.sample(range(1000), len(leaves))
+            p2s = rng.sample(range(1000), len(leaves))
+            nodes = nodes_of(tree)
+            for leaf_id, a, b in zip(leaves, p1s, p2s):
+                nodes[leaf_id] = Leaf(pv(a, b))
+            tree = game_tree(tree.root, nodes)
+            smap = compute_ups_all(tree)
+            target = select_optimal(smap.by_node[tree.root], "social")
+            found = extract(tree, smap, tree.root, target)
+            assert evaluate(found.game, found.strategy)[tree.root] == target
+            wide += sum(1 for kids in tree.children.values() if len(kids) >= 3)
+        assert wide > 100
+        assert steps == []
 
     def test_every_sampled_point_extracts_exactly(self, demo_tree):
         smap = compute_ups_all(demo_tree)
